@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -77,7 +78,25 @@ def _run_sql(database, query):
     return run
 
 
-def build_suite(graph):
+def _run_gql_fresh_keys(graph, template, keys):
+    """Run *template* once per key, parsing each text anew (no repeats)."""
+
+    def run(stats):
+        rows = 0
+        for key in keys:
+            parsed = parse_gql_query(template.format(owner=key))
+            rows += sum(1 for _ in execute_gql_iter(graph, parsed, stats=stats))
+        return rows
+
+    return run
+
+
+#: fresh owners per ``gql_point_lookup_fresh`` run; each lookup is one
+#: warm anchored read, so the entry records the anchor cost, not set-up
+POINT_LOOKUPS = 20
+
+
+def build_suite(graph, seed=7):
     """(name, engine, query, runner) for every tracked benchmark query."""
     database = Database()
     database.register_graph("bank", graph)
@@ -120,6 +139,24 @@ def build_suite(graph):
         "COLUMNS (a AS src_el, b.owner AS dst)"
         ") AS gt ON gt.src_el = acc.ID WHERE acc.isBlocked = 'yes'"
     )
+    # Point reads on owners drawn afresh from the seed, so no key repeats
+    # and no per-value cache can help: the anchor probe's cost per lookup
+    # is what this entry tracks.
+    gql_point_lookup = (
+        "MATCH (a:Account WHERE a.owner='{owner}')-[t:Transfer]->(b:Account) "
+        "RETURN b.owner AS dst, t.amount AS amount"
+    )
+    # Sample ids, not Node wrappers: 30k throwaway objects here shift where
+    # the collector's next full pass lands, billing it to a cold query below.
+    accounts = sorted(
+        node_id for node_id in graph.node_ids() if "Account" in graph.labels_of(node_id)
+    )
+    fresh_owners = [
+        graph.property_of(node_id, "owner")
+        for node_id in random.Random(seed).sample(
+            accounts, min(POINT_LOOKUPS, len(accounts))
+        )
+    ]
     # Net-zero DML round trip: every blocked account gains a review node
     # + edge and loses both in the same transaction, so the graph is
     # byte-identical afterwards and the entry stays order-independent.
@@ -149,13 +186,19 @@ def build_suite(graph):
             sql_cross_model,
             _run_sql(database, sql_cross_model),
         ),
+        (
+            "gql_point_lookup_fresh",
+            "gql",
+            gql_point_lookup.format(owner="?"),
+            _run_gql_fresh_keys(graph, gql_point_lookup, fresh_owners),
+        ),
         ("gql_dml_roundtrip", "gql", gql_dml, _run_gql(graph, gql_dml)),
     ]
 
 
-def measure(graph, telemetry=None) -> list[dict]:
+def measure(graph, telemetry=None, seed=7) -> list[dict]:
     results = []
-    for name, engine, query, run in build_suite(graph):
+    for name, engine, query, run in build_suite(graph, seed):
         stats = PipelineStats()
         start = perf_counter()
         rows = run(stats)
@@ -291,7 +334,7 @@ def main(argv=None) -> int:
             "transfers": args.transfers,
             "seed": args.seed,
         },
-        "results": measure(graph, telemetry=telemetry),
+        "results": measure(graph, telemetry=telemetry, seed=args.seed),
     }
 
     out = Path(args.out)

@@ -443,8 +443,8 @@ def _make_matcher(
 
     ``start_candidates`` may be a zero-arg callable: it is materialized
     only after the engine choice, so a frontier run has already built the
-    columnar snapshot and the planner's candidate source serves itself
-    from column scans instead of object hash indexes.
+    columnar snapshot and a planned label scan reuses its sorted member
+    lists.
     """
     if config.use_columnar and analysis.strategy == ENUMERATE:
         spec = FrontierMatcher.supports(graph, nfa, config, budget)
@@ -795,17 +795,6 @@ class SeededSearch:
             acc.append(item)
             yield item
         self._memo[seed_id] = acc
-
-
-def solve_path_pattern(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    index: int,
-    config: MatcherConfig,
-    plan: Optional[QueryPlan] = None,
-) -> list[ReducedBinding]:
-    """Materialized solutions of one path pattern (see the iter variant)."""
-    return list(iter_solve_path_pattern(graph, prepared, index, config, plan))
 
 
 # ----------------------------------------------------------------------

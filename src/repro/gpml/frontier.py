@@ -59,11 +59,7 @@ from repro.graph.columnar import (
     snapshot_for,
 )
 from repro.graph.model import Edge, Node, PropertyGraph
-from repro.planner.indexes import (
-    conjuncts,
-    required_labels,
-    sargable_equalities,
-)
+from repro.planner.indexes import conjuncts, initial_node_candidates
 from repro.values import NULL, compare, is_null
 
 _UNSET = object()
@@ -517,7 +513,7 @@ class FrontierMatcher:
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
             return self._start_candidates
-        candidates = columnar_initial_candidates(self.snapshot, self.pattern)
+        candidates = initial_node_candidates(self.graph, self.pattern)
         if candidates is None:
             return sorted(self.graph.node_ids())
         return candidates
@@ -672,40 +668,3 @@ class FrontierMatcher:
             raise BudgetExceededError(
                 f"matcher exceeded max_results={self.config.max_results}"
             )
-
-
-# ----------------------------------------------------------------------
-# Columnar anchor narrowing (mirrors planner.indexes.initial_node_candidates)
-# ----------------------------------------------------------------------
-def columnar_initial_candidates(
-    snapshot: ColumnarGraph, pattern: ast.Pattern
-) -> Optional[list[str]]:
-    """Start candidates from label bitsets and column scans.
-
-    Produces the identical candidate list (same ids, same sorted order)
-    as :func:`repro.planner.indexes.initial_node_candidates`, but serves
-    it from the snapshot: label members come from the cached sorted
-    member lists, and the sargable equality probes become column scans —
-    dictionary-code compares for string columns — instead of hash-index
-    builds on the object graph.
-    """
-    from repro.planner.anchor import LEFT, pinned_end_nodes
-
-    nodes = pinned_end_nodes(pattern, LEFT)
-    if nodes is None:
-        return None
-    out: set[str] = set()
-    for node in nodes:
-        labels = required_labels(node.label)
-        equalities = sargable_equalities(node.where, node.var)
-        if equalities:
-            prop = sorted(equalities)[0]
-            value = equalities[prop]
-            for label in [None] if labels is None else sorted(labels):
-                out |= snapshot.equality_scan(label, prop, value)
-        elif labels is not None:
-            for label in sorted(labels):
-                out.update(snapshot.label_members_sorted(label))
-        else:
-            return None  # an unconstrained branch end: scan everything
-    return sorted(out)

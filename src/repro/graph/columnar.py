@@ -148,7 +148,6 @@ class ColumnarGraph:
         self._node_bitsets: dict[str, int] = {}
         self._edge_bitsets: dict[Optional[str], dict[str, bool]] = {}
         self._node_columns: dict[str, Column] = {}
-        self._eq_scans: dict[tuple[Optional[str], str, Any], set[str]] = {}
         self._labeled_mask: Optional[int] = None
         self._label_members_sorted: dict[str, list[str]] = {}
 
@@ -339,64 +338,6 @@ class ColumnarGraph:
             members = sorted(self.graph._node_label_index.get(label, ()))
             self._label_members_sorted[label] = members
         return members
-
-    # -- anchor scans --------------------------------------------------
-    def equality_scan(self, label: Optional[str], prop: str, value: Any) -> set[str]:
-        """Node ids with ``prop == value`` among *label*'s members.
-
-        ``==`` here is Python equality over the raw stored value — the
-        same relation ``PropertyGraph.index_lookup`` answers from its
-        hash buckets, so the planner's property-index candidate sources
-        can be served from a column scan (dictionary-code compare on
-        all-string columns) with identical results.
-
-        Results are memoized per ``(label, prop, value)`` — the bench
-        suite probes the same anchor predicate from several queries —
-        so callers must treat the returned set as read-only.
-        """
-        key = (label, prop, value)
-        try:
-            cached = self._eq_scans.get(key)
-        except TypeError:  # unhashable value: scan without caching
-            return self._equality_scan_uncached(label, prop, value)
-        if cached is None:
-            cached = self._equality_scan_uncached(label, prop, value)
-            self._eq_scans[key] = cached
-        return cached
-
-    def _equality_scan_uncached(
-        self, label: Optional[str], prop: str, value: Any
-    ) -> set[str]:
-        column = self.node_column(prop)
-        node_ids = self.node_ids
-        node_code = self.node_code
-        if column.codes is not None and type(value) is str:
-            target = column.code_of.get(value, -2)
-            codes = column.codes
-            if label is None:
-                return {
-                    node_ids[code]
-                    for code, entry in enumerate(codes)
-                    if entry == target
-                }
-            return {
-                nid
-                for nid in self.graph._node_label_index.get(label, ())
-                if codes[node_code[nid]] == target
-            }
-        values = column.values
-        if label is None:
-            return {
-                node_ids[code]
-                for code, entry in enumerate(values)
-                if entry is not MISSING and entry == value
-            }
-        out: set[str] = set()
-        for nid in self.graph._node_label_index.get(label, ()):
-            entry = values[node_code[nid]]
-            if entry is not MISSING and entry == value:
-                out.add(nid)
-        return out
 
     # -- property columns ----------------------------------------------
     def node_column(self, prop: str) -> Column:

@@ -148,28 +148,26 @@ class CandidateSource:
     def candidate_ids(self, graph: PropertyGraph) -> Optional[list[str]]:
         """Sorted candidate node ids; None means "scan everything".
 
-        When a current columnar snapshot exists (the frontier engine
-        built one for this graph version), label scans and index probes
-        are served from its member lists and property columns — same
-        ids, same order, no object-graph hash-index build.
+        Index probes always go to the graph's maintained hash indexes
+        (built once per ``(label, prop)``, kept current by every
+        mutation), so a point anchor costs one bucket lookup whether or
+        not a columnar snapshot exists.  Label scans reuse a current
+        snapshot's sorted member lists when the frontier engine built
+        one for this graph version — same ids, same order.
         """
         if self.kind == FULL_SCAN:
             return None
-        snapshot = cached_snapshot(graph)
+        out: set[str] = set()
         if self.kind == LABEL_SCAN:
-            out: set[str] = set()
+            snapshot = cached_snapshot(graph)
             for label in self.labels or ():
                 if snapshot is not None:
                     out.update(snapshot.label_members_sorted(label))
                 else:
                     out.update(node.id for node in graph.nodes_with_label(label))
             return sorted(out)
-        out = set()
         for label, prop, value in self.lookups:
-            if snapshot is not None:
-                out |= snapshot.equality_scan(label, prop, value)
-            else:
-                out.update(graph.index_lookup(label, prop, value, kind="node"))
+            out |= graph.index_lookup(label, prop, value, kind="node")
         return sorted(out)
 
     def describe(self) -> str:
@@ -245,8 +243,9 @@ def initial_node_candidates(
 ) -> Optional[list[str]]:
     """Start candidates for a pattern anchored at its leftmost element.
 
-    The matcher's fallback when no plan supplies candidates: pins the left
-    end, then serves it from a property index or label scan.  ``None``
+    The fallback of both engines (object matcher and columnar frontier)
+    when no plan supplies candidates: pins the left end, then serves it
+    from a property index or label scan.  ``None``
     means nothing could be narrowed — scan all nodes.  This is the
     sargable upgrade of the old label-only narrowing: ``(x WHERE
     x.id = 5)`` without a label now probes the (None, 'id') hash index

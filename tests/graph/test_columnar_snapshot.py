@@ -49,11 +49,10 @@ class TestSnapshotCache:
         g = bank_graph()
         snap = snapshot_for(g)
         g.set_property("a1", "isBlocked", "yes")
-        assert snapshot_for(g) is not snap
-        assert snapshot_for(g).equality_scan("Account", "isBlocked", "yes") == {
-            "a1",
-            "a2",
-        }
+        rebuilt = snapshot_for(g)
+        assert rebuilt is not snap
+        column = rebuilt.node_column("isBlocked")
+        assert column.get(rebuilt.node_code["a1"]) == "yes"
 
     def test_storage_stats_counters(self):
         g = bank_graph()
@@ -161,29 +160,6 @@ class TestLabelBitsets:
 
 
 class TestScans:
-    def test_equality_scan_matches_index_lookup(self):
-        g = bank_graph()
-        snap = snapshot_for(g)
-        cases = [
-            ("Account", "isBlocked", "no"),
-            ("Account", "isBlocked", "yes"),
-            (None, "isBlocked", "no"),
-            ("Account", "bal", 10),  # non-string column: generic path
-            (None, "bal", 20),
-            ("Account", "isBlocked", "absent-value"),
-            ("Account", "noSuchProp", "x"),
-            ("City", "name", "Ankh-Morpork"),
-        ]
-        for label, prop, value in cases:
-            assert snap.equality_scan(label, prop, value) == set(
-                g.index_lookup(label, prop, value, kind="node")
-            ), (label, prop, value)
-
-    def test_equality_scan_memoized(self):
-        snap = snapshot_for(bank_graph())
-        first = snap.equality_scan("Account", "isBlocked", "no")
-        assert snap.equality_scan("Account", "isBlocked", "no") is first
-
     def test_string_column_dictionary(self):
         snap = snapshot_for(bank_graph())
         column = snap.node_column("isBlocked")

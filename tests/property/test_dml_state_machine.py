@@ -11,6 +11,11 @@ structure must be consistent for the *current* version:
 * the statistics catalog rebuilds to the live node/edge counts,
 * the columnar snapshot is rebuilt for the current version and the
   frontier engine agrees with the object matcher on a probe query,
+* the start candidates of a random sargable anchor (an equality or an
+  ``IN`` membership, picked by its own rule) are identical from both
+  engines, planned and unplanned, and equal a scan of the oracle —
+  which covers hash indexes created lazily inside transactions that
+  later commit or roll back,
 
 in both engine modes (columnar on and off — the same toggle the
 ``REPRO_DISABLE_COLUMNAR=1`` CI leg flips globally).
@@ -29,8 +34,13 @@ from hypothesis.stateful import (
 from repro.errors import GqlError, GraphError, ReproError
 from repro.graph.columnar import cached_snapshot, snapshot_for
 from repro.graph.model import PropertyGraph
-from repro.gpml.matcher import MatcherConfig
+from repro.gpml.engine import _make_matcher, prepare
+from repro.gpml.expr import In, PropertyRef
+from repro.gpml.frontier import FrontierMatcher
+from repro.gpml.matcher import Matcher, MatcherConfig
+from repro.gpml.parser import parse_match
 from repro.gql import execute_gql
+from repro.planner.plan import plan_query
 from repro.planner.stats import StatisticsCatalog
 
 PROBE = "MATCH (a)-[e]->(b) RETURN a.v AS src, b.v AS dst"
@@ -40,6 +50,35 @@ VALUES = st.integers(min_value=0, max_value=4)
 
 def canon(rows):
     return sorted(tuple(sorted((k, repr(v)) for k, v in r.items())) for r in rows)
+
+
+def anchor_pattern(label, key, values):
+    """``(a:label WHERE a.key = v)-[e]->(b)``, or ``a.key IN values``."""
+    label_text = f":{label}" if label else ""
+    raw = parse_match(f"MATCH (a{label_text} WHERE a.{key} = {values[0]})-[e]->(b)")
+    if len(values) > 1:  # the parser has no IN: inject it like the SQL host
+        raw.paths[0].pattern.items[0].where = In(PropertyRef("a", key), values)
+    return raw
+
+
+def start_candidates(graph, raw, config):
+    """The start node ids the engine *config* selects would seed from."""
+    prepared = prepare(raw)
+    start = None
+    if config.use_planner:
+        pattern_plan = plan_query(graph, prepared).patterns[0]
+        start = lambda: pattern_plan.start_candidates(graph)  # noqa: E731
+    matcher = _make_matcher(
+        graph,
+        prepared.nfas[0],
+        prepared.normalized.paths[0].pattern,
+        config,
+        prepared.analysis.paths[0],
+        start_candidates=start,
+    )
+    expected = FrontierMatcher if config.use_columnar else Matcher
+    assert type(matcher) is expected
+    return matcher._initial_candidates()
 
 
 class DmlMachine(RuleBasedStateMachine):
@@ -56,6 +95,7 @@ class DmlMachine(RuleBasedStateMachine):
         self.edges: dict = {}
         self.counter = 0
         self.last_version = self.graph.version
+        self.anchor = ("A", "v", (0,))
 
     # -- direct-API mutations ------------------------------------------
     @rule(labels=st.sets(st.sampled_from(LABELS), max_size=2), v=VALUES)
@@ -172,6 +212,15 @@ class DmlMachine(RuleBasedStateMachine):
             pass
         # oracle untouched: the invariants below verify the rollback
 
+    # -- the sargable anchor the invariants probe ----------------------
+    @rule(
+        label=st.sampled_from(LABELS + (None,)),
+        key=st.sampled_from(["v", "w"]),
+        values=st.lists(VALUES, min_size=1, max_size=3, unique=True),
+    )
+    def pick_anchor(self, label, key, values):
+        self.anchor = (label, key, tuple(values))
+
     # -- invariants ----------------------------------------------------
     @invariant()
     def graph_equals_oracle(self):
@@ -233,6 +282,23 @@ class DmlMachine(RuleBasedStateMachine):
         if snapshot is not None:
             assert snapshot.version == self.graph.version
         assert snapshot_for(self.graph).version == self.graph.version
+
+    @invariant()
+    def anchor_candidates_agree(self):
+        label, key, values = self.anchor
+        raw = anchor_pattern(label, key, values)
+        expected = sorted(
+            nid
+            for nid, (labels, props) in self.nodes.items()
+            if (label is None or label in labels) and props.get(key) in values
+        )
+        for use_planner in (True, False):
+            for use_columnar in (True, False):
+                config = MatcherConfig(
+                    use_columnar=use_columnar, use_planner=use_planner
+                )
+                found = start_candidates(self.graph, raw, config)
+                assert found == expected, (self.anchor, config)
 
 
 class ColumnarDmlMachine(DmlMachine):
