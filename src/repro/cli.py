@@ -66,8 +66,9 @@ from typing import Iterable, Iterator
 from repro.datasets import figure1_graph
 from repro.errors import ReproError
 from repro.extensions.json_export import result_to_json
-from repro.gpml.engine import BindingRow, MatchResult, _to_ids, match_iter, prepare
+from repro.gpml.engine import BindingRow, MatchResult, match_iter, prepare
 from repro.gpml.explain import explain, explain_plan
+from repro.graph.path import to_ids
 from repro.graph.serialization import graph_from_json
 from repro.pgq.table import Table
 
@@ -94,7 +95,7 @@ def _render_table_lines(
     yield "-" * len(header)
     for row in rows:
         count += 1
-        yield " | ".join(str(_to_ids(row[name])) for name in variables)
+        yield " | ".join(str(to_ids(row[name])) for name in variables)
     yield f"({count} row(s))"
 
 
@@ -440,7 +441,7 @@ def gql_main(argv: list[str]) -> int:
             count = 0
             for record in records:
                 count += 1
-                print(" | ".join(str(_to_ids(record[name])) for name in columns))
+                print(" | ".join(str(to_ids(record[name])) for name in columns))
             print(f"({count} record(s))")
         elapsed_ms = (perf_counter() - start) * 1000.0
         if stats is not None and stats.mutations is not None:

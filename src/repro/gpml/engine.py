@@ -67,10 +67,10 @@ from repro.gpml.selectors import apply_selector
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
 from repro.obs.trace import Span, timed_rows
 from repro.graph.model import Edge, Node, PropertyGraph
-from repro.graph.path import Path
+from repro.graph.path import Path, to_ids
 from repro.planner.anchor import RIGHT, reverse_binding
 from repro.planner.plan import QueryPlan, plan_query
-from repro.values import NULL
+from repro.values import NULL, hashable_key
 
 
 @dataclass
@@ -155,21 +155,21 @@ class MatchResult:
 
     def ids(self, name: str) -> list[Any]:
         """Element ids for a variable column (lists for group variables)."""
-        return [_to_ids(value) for value in self.column(name)]
+        return [to_ids(value) for value in self.column(name)]
 
     def paths(self, pattern_index: int = 0) -> list[Path]:
         return [row.paths[pattern_index] for row in self.rows]
 
     def to_dicts(self) -> list[dict[str, Any]]:
         return [
-            {name: _to_ids(row[name]) for name in self.variables} for row in self.rows
+            {name: to_ids(row[name]) for name in self.variables} for row in self.rows
         ]
 
     def distinct_dicts(self) -> list[dict[str, Any]]:
         seen = set()
         out = []
         for entry in self.to_dicts():
-            key = tuple(sorted((k, _hashable(v)) for k, v in entry.items()))
+            key = tuple(sorted((k, hashable_key(v)) for k, v in entry.items()))
             if key not in seen:
                 seen.add(key)
                 out.append(entry)
@@ -177,22 +177,6 @@ class MatchResult:
 
     def __repr__(self) -> str:
         return f"MatchResult({len(self.rows)} rows, variables={self.variables})"
-
-
-def _to_ids(value: Any) -> Any:
-    if isinstance(value, (Node, Edge)):
-        return value.id
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, list):
-        return [_to_ids(v) for v in value]
-    return value
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +369,7 @@ def _row_length(row: "BindingRow") -> int:
 
 def _row_sort_key(row: "BindingRow") -> tuple:
     elements = tuple(p.element_ids for p in row.paths)
-    values = tuple(sorted((k, _hashable(_to_ids(v))) for k, v in row.values.items()))
+    values = tuple(sorted((k, hashable_key(to_ids(v))) for k, v in row.values.items()))
     return (_row_length(row), elements, values)
 
 

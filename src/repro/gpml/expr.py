@@ -22,8 +22,10 @@ from typing import Any, Iterable, Sequence
 
 from repro.errors import ExpressionError
 from repro.graph.model import Edge, Node
-from repro.graph.path import Path
-from repro.values import FALSE, NULL, TRUE, UNKNOWN, TruthValue, compare, is_null, truth_of
+from repro.graph.path import Path, to_ids
+from repro.values import (
+    FALSE, NULL, TRUE, UNKNOWN, TruthValue, compare, hashable_key, is_null, truth_of,
+)
 
 
 class EvalContext:
@@ -476,35 +478,9 @@ class Aggregate(Expr):
 
     def evaluate(self, ctx: EvalContext) -> Any:
         items = ctx.group_items(self.var)
-        if self.prop is None:
-            values: list[Any] = [item for item in items if not is_null(item)]
-        else:
-            values = []
-            for item in items:
-                value = property_value(item, self.prop, self.var)
-                if not is_null(value):
-                    values.append(value)
-        if self.distinct:
-            unique: list[Any] = []
-            for value in values:
-                if value not in unique:
-                    unique.append(value)
-            values = unique
-        if self.func == "COUNT":
-            return len(values)
-        if self.func == "LISTAGG":
-            return self.separator.join(_listagg_text(v) for v in values)
-        if not values:
-            return NULL
-        if self.func == "SUM":
-            return sum(values)
-        if self.func == "AVG":
-            return sum(values) / len(values)
-        if self.func == "MIN":
-            return min(values)
-        if self.func == "MAX":
-            return max(values)
-        raise ExpressionError(f"unknown aggregate {self.func!r}")
+        if self.prop is not None:
+            items = [property_value(item, self.prop, self.var) for item in items]
+        return fold_aggregate(self.func, items, self.distinct, self.separator)
 
     def inner_variables(self) -> frozenset[str]:
         return frozenset({self.var})
@@ -518,10 +494,41 @@ class Aggregate(Expr):
         return f"{self.func}({distinct}{arg})"
 
 
-def _listagg_text(value: Any) -> str:
-    if isinstance(value, (Node, Edge)):
-        return value.id
-    return str(value)
+#: the aggregate functions of every host (GPML, GQL, SQL, pgq.Table)
+AGGREGATE_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "LISTAGG")
+
+
+def fold_aggregate(
+    func: str, values: Iterable[Any], distinct: bool = False, separator: str = ", "
+) -> Any:
+    """The aggregate fold every host shares.
+
+    NULLs are skipped; DISTINCT keeps the first value of each
+    :func:`~repro.values.hashable_key`.  COUNT and LISTAGG of no values
+    are 0 and ``''``, the others NULL.  LISTAGG renders elements as
+    their ids.
+    """
+    kept = [value for value in values if not is_null(value)]
+    if distinct:
+        unique: dict[Any, Any] = {}
+        for value in kept:
+            unique.setdefault(hashable_key(value), value)
+        kept = list(unique.values())
+    if func == "COUNT":
+        return len(kept)
+    if func == "LISTAGG":
+        return separator.join(str(to_ids(value)) for value in kept)
+    if not kept:
+        return NULL
+    if func == "SUM":
+        return sum(kept)
+    if func == "AVG":
+        return sum(kept) / len(kept)
+    if func == "MIN":
+        return min(kept)
+    if func == "MAX":
+        return max(kept)
+    raise ExpressionError(f"unknown aggregate {func!r}")
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ from repro.gpml.label_expr import (
 )
 from repro.gpml.lexer import EOF, IDENT, KEYWORD, NUMBER, PUNCT, STRING, Token, tokenize
 
-_AGGREGATE_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "LISTAGG")
-
 #: keywords that terminate a pattern at the top level (host-language clauses)
 _CLAUSE_KEYWORDS = ("WHERE", "RETURN", "ORDER", "LIMIT", "OFFSET", "COLUMNS", "KEEP", "MATCH")
 
@@ -525,7 +523,7 @@ class GpmlParser:
         if token.is_keyword("NULL"):
             self.advance()
             return E.Literal(None)
-        if token.is_keyword(*_AGGREGATE_FUNCS):
+        if token.is_keyword(*E.AGGREGATE_FUNCS):
             return self._parse_aggregate()
         if token.is_keyword("SAME"):
             self.advance()

@@ -4,7 +4,9 @@ A query is a *linear composition* of statements — ``MATCH``, ``OPTIONAL
 MATCH``, ``LET`` and ``FILTER``, in any order and number — followed by a
 final ``RETURN ... [ORDER BY] [LIMIT/OFFSET]`` (PAPER.md §2, §6).  Each
 statement is a streaming transformer over the working table of binding
-rows (see :mod:`repro.gql.pipeline`); RETURN projects the final table.
+rows (see :mod:`repro.gql.pipeline`); RETURN compiles onto the SQL
+host's relational operators (:mod:`repro.sql.operators`), so both hosts
+share one relational tail.
 
 Execution is streaming end to end when the query allows it:
 :func:`execute_gql_iter` yields projected records as the underlying
@@ -43,11 +45,11 @@ values, and ``length(p)`` / ``nodes(p)`` / ``edges(p)`` work on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import GqlError
-from repro.gpml.expr import EvalContext, Expr
+from repro.gpml.expr import Aggregate as AggregateExpr
+from repro.gpml.expr import EvalContext, Expr, PropertyRef, VarRef
 from repro.gpml.lexer import IDENT
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
@@ -64,9 +66,20 @@ from repro.gql.pipeline import (
     MatchStatement,
     compile_pipeline,
 )
-from repro.graph.model import Edge, Node, PropertyGraph
-from repro.graph.path import Path
-from repro.values import NULL, is_null
+from repro.graph.model import PropertyGraph
+from repro.graph.path import to_ids
+from repro.obs.trace import counted_in
+from repro.sql.binder import BoundColumn, Column, bind_order_keys, rebuild
+from repro.sql.operators import (
+    Aggregate,
+    BoundAggregate,
+    Distinct,
+    Limit,
+    Operator,
+    Project,
+    Sort,
+    attach_spans,
+)
 
 
 @dataclass
@@ -143,11 +156,10 @@ class GqlResult:
 
     def to_table(self):
         """Project into a relational table (ids for elements/paths)."""
-        from repro.pgq.graph_table import _to_sql_value
         from repro.pgq.table import Table
 
         rows = [
-            tuple(_to_sql_value(record[c]) for c in self.columns)
+            tuple(to_ids(record[c]) for c in self.columns)
             for record in self.records
         ]
         return Table(self.columns, rows, name="gql_result")
@@ -329,14 +341,9 @@ def execute_gql(
     Write queries additionally surface the transaction summary on
     :attr:`GqlResult.mutations`.
     """
-    parsed = parse_gql_query(query) if isinstance(query, str) else query
-    compiled = compile_pipeline(parsed.statements, config)
+    parsed, records, summary = _execute(graph, query, config, None)
     columns = [item.alias for item in parsed.items]
-    if compiled.has_writes:
-        records, summary = _execute_write_query(graph, parsed, compiled, config, None)
-        return GqlResult(columns=columns, records=records, mutations=summary)
-    records = list(_read_query_iter(graph, parsed, compiled, config, None))
-    return GqlResult(columns=columns, records=records)
+    return GqlResult(columns=columns, records=list(records), mutations=summary)
 
 
 def execute_gql_iter(
@@ -362,49 +369,31 @@ def execute_gql_iter(
     the iterator.  With ``stats`` given, ``stats.mutations`` and
     ``stats.transaction`` record the outcome.
     """
-    parsed = parse_gql_query(query) if isinstance(query, str) else query
-    compiled = compile_pipeline(parsed.statements, config)
-    if compiled.has_writes:
-        records, _ = _execute_write_query(graph, parsed, compiled, config, stats)
-        return iter(records)
-    return _read_query_iter(graph, parsed, compiled, config, stats)
+    return _execute(graph, query, config, stats)[1]
 
 
-def _execute_write_query(
+def _execute(
     graph: PropertyGraph,
-    parsed: GqlQuery,
-    compiled: CompiledPipeline,
+    query: "str | GqlQuery",
     config: MatcherConfig | None,
     stats: Optional[PipelineStats],
-) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    """Run a write query inside an apply-or-rollback transaction.
+) -> tuple[GqlQuery, Iterator[dict[str, Any]], Optional[dict[str, int]]]:
+    """The one execution path: statements feed the RETURN operator tree.
 
-    The whole pipeline — pattern searches, mutations, and the RETURN
-    projection — runs under one :class:`GraphTransaction`; any error
-    restores the pre-query graph (elements, indexes, stats caches, and
-    ``version``) before re-raising.  Write queries never push a row
-    budget down the chain (a budget would truncate mutations); LIMIT and
-    OFFSET slice the *returned records* only.
+    RETURN compiles before anything runs, so its errors (an unbindable
+    ORDER BY key) precede every search and every write.  A write query
+    drains inside an apply-or-rollback transaction: any error restores
+    the pre-query graph (elements, indexes, stats caches, ``version``).
     """
-    has_vertical = _mark_vertical_aggregates(parsed, compiled.group_vars)
+    parsed = parse_gql_query(query) if isinstance(query, str) else query
+    compiled = compile_pipeline(parsed.statements, config)
+    tail = _compile_return(graph, parsed, compiled)
+    records = _run_tail(graph, compiled, tail, config, stats)
+    if not compiled.has_writes:
+        return parsed, records, None
     txn = graph.begin_mutation()
     try:
-        rows = list(compiled.run(graph, config, stats=stats))
-        if parsed.items:
-            if has_vertical:
-                records = _grouped_records(graph, parsed, rows)
-            else:
-                records = _plain_records(graph, parsed, rows)
-            if parsed.distinct:
-                records = _distinct_records(records, parsed)
-            if parsed.order_by:
-                records = _order_records(graph, records, parsed)
-            if parsed.offset is not None:
-                records = records[parsed.offset :]
-            if parsed.limit is not None:
-                records = records[: parsed.limit]
-        else:
-            records = []
+        materialized = list(records)
     except BaseException:
         txn.rollback()
         if stats is not None:
@@ -416,97 +405,218 @@ def _execute_write_query(
     if stats is not None:
         stats.transaction = "commit"
         stats.mutations = summary
-        stats.rows += len(records)
-    return records, summary
+        stats.rows += len(materialized)
+    return parsed, iter(materialized), summary
 
 
-def _read_query_iter(
+def _run_tail(
     graph: PropertyGraph,
-    parsed: GqlQuery,
     compiled: CompiledPipeline,
+    tail: Optional["_ReturnTail"],
     config: MatcherConfig | None,
     stats: Optional[PipelineStats],
 ) -> Iterator[dict[str, Any]]:
-    has_vertical = _mark_vertical_aggregates(parsed, compiled.group_vars)
+    rows = compiled.run(graph, config, budget=tail and tail.budget, stats=stats)
+    if tail is None:  # write-only query: the statements run for their effects
+        for _ in rows:
+            pass
+        return
+    if compiled.has_writes:
+        # Every mutation happens before RETURN: a LIMIT must never
+        # truncate the writes, only the returned records.
+        rows = iter(list(rows))
+    root = tail.root
     trace = stats.trace if stats is not None else None
-
-    if has_vertical or parsed.order_by:
-        # Pipeline breakers: the full binding table is needed before the
-        # first record can be emitted; LIMIT/OFFSET slice afterwards.
-        row_stream = compiled.run(graph, config, stats=stats)
-        # Created after compiled.run so the trace lists statements in
-        # pipeline order; the drain below is still on this span's clock.
-        return_span = None
-        if trace is not None:
-            return_span = trace.root.child(
-                "RETURN (vertical aggregation / ORDER BY)",
-                kind="statement",
-                mode="blocking",
-            )
-            start = perf_counter()
-        rows = list(row_stream)
-        if has_vertical:
-            records = _grouped_records(graph, parsed, rows)
-        else:
-            records = _plain_records(graph, parsed, rows)
-        if parsed.distinct:
-            records = _distinct_records(records, parsed)
-        if parsed.order_by:
-            records = _order_records(graph, records, parsed)
-        if parsed.offset is not None:
-            records = records[parsed.offset :]
-        if parsed.limit is not None:
-            records = records[: parsed.limit]
-        if return_span is not None:
-            return_span.rows_in = return_span.peak_rows = len(rows)
-            return_span.rows_out = len(records)
-            return_span.elapsed += perf_counter() - start
-        if stats is not None:
-            stats.rows += len(records)
-        yield from records
-        return
-
-    # Streaming path: project row by row, count delivered (post-DISTINCT)
-    # records against an OFFSET+LIMIT budget that stops the searches
-    # themselves — including the first statement's, through the chain.
-    offset = parsed.offset or 0
-    limit = parsed.limit
-    if limit == 0:
-        return
-    budget = RowBudget(None if limit is None else offset + limit)
-    seen: Optional[set] = set() if parsed.distinct else None
-    row_stream = compiled.run(graph, config, budget=budget, stats=stats)
-    return_span = None
     if trace is not None:
-        return_span = trace.root.child(
-            "RETURN projection", kind="statement", mode="streaming"
-        )
-    for row in row_stream:
-        if return_span is not None:
-            return_span.rows_in += 1
-        ctx = EvalContext(bindings=row, graph=graph)
-        record = {item.alias: item.expr.evaluate(ctx) for item in parsed.items}
-        if seen is not None:
-            key = tuple(_group_key(record[item.alias]) for item in parsed.items)
-            if key in seen:
-                if return_span is not None:
-                    return_span.bump("distinct_dropped")
-                continue
-            seen.add(key)
-        budget.take()
-        if budget.taken <= offset:
-            if return_span is not None:
-                return_span.bump("offset_skipped")
-            continue
-        if stats is not None:
+        # The RETURN statement span is the root operator's span (rows
+        # out, inclusive time, the LIMIT's budget event); the operators
+        # below it get child spans.
+        if tail.blocking:
+            label, mode = "RETURN (vertical aggregation / ORDER BY)", BLOCKING
+        else:
+            label, mode = "RETURN projection", STREAMING
+        span = trace.root.child(label, kind="statement", mode=mode)
+        rows = counted_in(span, rows)
+        root.span = span
+        for child in root.children:
+            attach_spans(child, span)
+    tail.leaf.source = rows
+    names = [column.name for column in root.columns]
+    count = stats is not None and not compiled.has_writes
+    for row in root.run():
+        if count:
             stats.rows += 1
-        if return_span is not None:
-            return_span.rows_out += 1
-        yield record
-        if budget.satisfied:
-            if return_span is not None:
-                return_span.event("budget_satisfied", taken=budget.taken)
-            return
+        yield dict(zip(names, row))
+
+
+# ----------------------------------------------------------------------
+# RETURN on the relational operators
+# ----------------------------------------------------------------------
+class BindingRows(Operator):
+    """Leaf of the RETURN tail: the statement pipeline's binding rows.
+
+    Each row is a one-column tuple holding the binding row's evaluation
+    context, which :class:`OverBindings` expressions read — so elements
+    and paths stay first-class all the way into the returned records.
+    """
+
+    def __init__(self, graph: PropertyGraph):
+        self.graph = graph
+        self.source: Iterable[dict[str, Any]] = ()
+        self.columns = [Column(table=None, name="bindings")]
+        self.children = []
+
+    def rows(self) -> Iterator[tuple]:
+        graph = self.graph
+        for bindings in self.source:
+            yield (EvalContext(bindings=bindings, graph=graph),)
+
+    def describe(self) -> str:
+        return "binding rows"
+
+
+@dataclass(frozen=True, eq=False)
+class OverBindings(Expr):
+    """A RETURN or ORDER BY expression over :class:`BindingRows` rows."""
+
+    expr: Expr
+
+    def evaluate(self, ctx) -> Any:
+        return self.expr.evaluate(ctx.row[0])
+
+    def __str__(self) -> str:
+        return str(self.expr)
+
+
+@dataclass
+class _ReturnTail:
+    leaf: BindingRows
+    root: Operator
+    #: an ORDER BY or vertical aggregate materializes the binding rows
+    blocking: bool
+    #: the LIMIT's row budget, threaded into the statement pipeline when
+    #: the tail streams and the query does not write (None otherwise)
+    budget: Optional[RowBudget]
+
+
+def _compile_return(
+    graph: PropertyGraph, parsed: GqlQuery, compiled: CompiledPipeline
+) -> Optional[_ReturnTail]:
+    """RETURN as a relational operator tree over the binding rows.
+
+    ``BindingRows → [Aggregate] → Project → [Distinct] → [Sort] →
+    [Limit]`` on the SQL host's operators (the Sort moves below Project
+    when a key is an expression over the bindings).  GQL's own
+    semantics are settled here, at compile time: horizontal
+    aggregates are plain per-row expressions, vertical ones become
+    Aggregate columns grouped by the other RETURN items, and ORDER BY
+    keys bind like SQL's (output name, else an expression over the
+    bindings).  None for a write-only query without RETURN.
+    """
+    if not parsed.items:
+        return None
+    has_vertical = _mark_vertical_aggregates(parsed, compiled.group_vars)
+    leaf = BindingRows(graph)
+    if has_vertical:
+        op, items, bind_order = _compile_grouping(leaf, parsed, compiled.group_vars)
+    else:
+        op = leaf
+        items = [(item.alias, OverBindings(item.expr)) for item in parsed.items]
+        visible = set(compiled.variables)
+
+        def bind_order(expr: Expr) -> Expr:
+            unknown = expr.variables() - visible
+            if unknown:
+                raise GqlError(
+                    f"ORDER BY {expr} names no RETURN column and references "
+                    f"unknown variable(s) {', '.join(sorted(unknown))}"
+                )
+            if any(agg.var not in compiled.group_vars for agg in expr.aggregates()):
+                raise GqlError(
+                    f"ORDER BY {expr} aggregates across rows; return it as a "
+                    f"RETURN column and order by that column"
+                )
+            return OverBindings(expr)
+
+    # Keys naming RETURN columns sort the projected (and deduplicated)
+    # records, so each key is evaluated once; a key over the bindings
+    # must sort the binding rows, before projection drops them.
+    outputs = [(alias, BoundColumn(i, alias)) for i, (alias, _) in enumerate(items)]
+    keys = bind_order_keys(parsed.order_by, outputs, bind_order, parsed.distinct, GqlError)
+    late = all(isinstance(key, BoundColumn) for key, _ in keys)
+    if not late:
+        op = Sort(op, bind_order_keys(parsed.order_by, items, bind_order, False, GqlError))
+    op = Project(op, items)
+    if parsed.distinct:
+        op = Distinct(op)
+    if keys and late:
+        op = Sort(op, keys)
+    blocking = has_vertical or bool(keys)
+    budget = None
+    if parsed.limit is not None and not blocking and not compiled.has_writes:
+        budget = RowBudget(parsed.limit + (parsed.offset or 0))
+    if parsed.limit is not None or parsed.offset:
+        op = Limit(op, parsed.limit, parsed.offset or 0, budget)
+    return _ReturnTail(leaf=leaf, root=op, blocking=blocking, budget=budget)
+
+
+def _compile_grouping(leaf: BindingRows, parsed: GqlQuery, group_vars: frozenset[str]):
+    """Implicit grouping onto the Aggregate operator.
+
+    The RETURN items without a vertical aggregate are the group keys;
+    each distinct vertical aggregate is one aggregate column folding one
+    value per binding row.  Returns the operator, the post-aggregate
+    RETURN items, and the ORDER BY binder (keys must be RETURN columns:
+    after grouping, no binding row remains to evaluate them over).
+    """
+    keys: list[tuple[Column, Expr]] = []
+    aggregates: list[AggregateExpr] = []
+    for item in parsed.items:
+        if not item.vertical_aggregate:
+            keys.append((Column(table=None, name=item.alias), OverBindings(item.expr)))
+            continue
+        for agg in item.expr.aggregates():
+            if agg.var not in group_vars and agg not in aggregates:
+                aggregates.append(agg)
+    columns = {
+        agg: BoundColumn(len(keys) + position, str(agg))
+        for position, agg in enumerate(aggregates)
+    }
+
+    def replace(expr: Expr) -> Expr:
+        if isinstance(expr, AggregateExpr) and expr in columns:
+            return columns[expr]
+        return rebuild(expr, replace)
+
+    items: list[tuple[str, Expr]] = []
+    key_position = 0
+    for item in parsed.items:
+        if not item.vertical_aggregate:
+            items.append((item.alias, BoundColumn(key_position, item.alias)))
+            key_position += 1
+            continue
+        bound = replace(item.expr)
+        if bound.variables():
+            raise GqlError(
+                f"RETURN item {item.expr} mixes a vertical aggregate with "
+                f"per-row values; return those as separate items"
+            )
+        items.append((item.alias, bound))
+    specs = []
+    for agg in aggregates:
+        arg = VarRef(agg.var) if agg.prop is None else PropertyRef(agg.var, agg.prop)
+        spec = BoundAggregate(agg.func, OverBindings(arg), agg.distinct, agg.separator)
+        specs.append((Column(table=None, name=str(agg)), spec))
+
+    def bind_order(expr: Expr) -> Expr:
+        for index, item in enumerate(parsed.items):
+            if expr == item.expr:
+                return BoundColumn(index, item.alias)
+        raise GqlError(
+            f"ORDER BY {expr} must name a RETURN column when RETURN aggregates"
+        )
+
+    return Aggregate(leaf, keys, specs), items, bind_order
 
 
 def explain_gql(
@@ -573,102 +683,3 @@ def _mark_vertical_aggregates(parsed: GqlQuery, group_vars: frozenset[str]) -> b
         )
         has_vertical = has_vertical or item.vertical_aggregate
     return has_vertical
-
-
-def _plain_records(
-    graph: PropertyGraph, parsed: GqlQuery, rows: list[dict[str, Any]]
-) -> list[dict[str, Any]]:
-    records = []
-    for row in rows:
-        ctx = EvalContext(bindings=row, graph=graph)
-        records.append({item.alias: item.expr.evaluate(ctx) for item in parsed.items})
-    return records
-
-
-class _GroupContext(EvalContext):
-    """Aggregation context: singleton lookups see the representative row,
-    group_items folds over all rows of the group."""
-
-    def __init__(self, rows: list[dict[str, Any]], graph: PropertyGraph):
-        super().__init__(bindings=rows[0] if rows else {}, graph=graph)
-        self._rows = rows
-
-    def group_items(self, name: str) -> list[Any]:
-        items = []
-        for row in self._rows:
-            value = row.get(name, NULL)
-            if isinstance(value, (list, tuple)):
-                items.extend(value)
-            elif not is_null(value):
-                items.append(value)
-        return items
-
-
-def _grouped_records(
-    graph: PropertyGraph, parsed: GqlQuery, rows: list[dict[str, Any]]
-) -> list[dict[str, Any]]:
-    key_items = [item for item in parsed.items if not item.vertical_aggregate]
-    groups: dict[tuple, list[dict[str, Any]]] = {}
-    order: list[tuple] = []
-    key_values: dict[tuple, dict[str, Any]] = {}
-    for row in rows:
-        ctx = EvalContext(bindings=row, graph=graph)
-        values = {item.alias: item.expr.evaluate(ctx) for item in key_items}
-        key = tuple(_group_key(values[item.alias]) for item in key_items)
-        if key not in groups:
-            order.append(key)
-            key_values[key] = values
-        groups.setdefault(key, []).append(row)
-    records = []
-    for key in order:
-        group_rows = groups[key]
-        record = dict(key_values[key])
-        group_ctx = _GroupContext(group_rows, graph)
-        for item in parsed.items:
-            if item.vertical_aggregate:
-                record[item.alias] = item.expr.evaluate(group_ctx)
-        # preserve RETURN item order
-        records.append({item.alias: record[item.alias] for item in parsed.items})
-    return records
-
-
-def _group_key(value: Any) -> Any:
-    if isinstance(value, (Node, Edge)):
-        return ("element", value.id)
-    if isinstance(value, Path):
-        return ("path", value.element_ids)
-    if isinstance(value, list):
-        return tuple(_group_key(v) for v in value)
-    if is_null(value):
-        return ("null",)
-    return value
-
-
-def _distinct_records(records: list[dict[str, Any]], parsed: GqlQuery) -> list[dict[str, Any]]:
-    seen: set[tuple] = set()
-    out = []
-    for record in records:
-        key = tuple(_group_key(record[item.alias]) for item in parsed.items)
-        if key not in seen:
-            seen.add(key)
-            out.append(record)
-    return out
-
-
-def _order_records(
-    graph: PropertyGraph, records: list[dict[str, Any]], parsed: GqlQuery
-) -> list[dict[str, Any]]:
-    # Per-item direction via stable sorts composed right-to-left.
-    ordered = list(records)
-    for index in range(len(parsed.order_by) - 1, -1, -1):
-        order = parsed.order_by[index]
-
-        def single_key(record: dict[str, Any], order=order) -> tuple:
-            ctx = EvalContext(bindings=record, graph=graph)
-            value = order.expr.evaluate(ctx)
-            if is_null(value):
-                return (1, "", "") if not order.descending else (-1, "", "")
-            return (0, type(value).__name__, value)
-
-        ordered = sorted(ordered, key=single_key, reverse=order.descending)
-    return ordered

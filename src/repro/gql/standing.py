@@ -77,8 +77,9 @@ from repro.gql.pipeline import (
     compile_pipeline,
     _match_var_kinds,
 )
-from repro.gql.query import GqlQuery, _group_key, _mark_vertical_aggregates, parse_gql_query
+from repro.gql.query import GqlQuery, _mark_vertical_aggregates, parse_gql_query
 from repro.planner.indexes import initial_node_candidates
+from repro.values import hashable_key
 
 #: reserved row key carrying the start node through the statement chain
 #: (plain dict keys flow untouched through joins, LET, FILTER and
@@ -311,7 +312,7 @@ class StandingQuery:
         are compared.
         """
         return tuple(
-            (item.alias, _group_key(record[item.alias]), repr(record[item.alias]))
+            (item.alias, hashable_key(record[item.alias]), repr(record[item.alias]))
             for item in self.parsed.items
         )
 

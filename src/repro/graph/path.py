@@ -193,3 +193,15 @@ class Path:
 
     def __repr__(self) -> str:
         return f"path({','.join(self.element_ids)})"
+
+
+def to_ids(value):
+    """Relational form of a value: elements as their ids, paths as their
+    text form, lists element-wise; other values pass through."""
+    if isinstance(value, (Node, Edge)):
+        return value.id
+    if isinstance(value, Path):
+        return str(value)
+    if isinstance(value, list):
+        return [to_ids(v) for v in value]
+    return value

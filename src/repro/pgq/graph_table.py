@@ -26,8 +26,8 @@ from repro.gpml.expr import EvalContext, Expr
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
 from repro.gpml.streaming import PipelineStats, RowBudget
-from repro.graph.model import Edge, Node, PropertyGraph
-from repro.graph.path import Path
+from repro.graph.model import PropertyGraph
+from repro.graph.path import to_ids
 from repro.pgq.table import Table
 
 
@@ -116,7 +116,7 @@ def project_columns(
     one ``match_iter`` stream.
     """
     ctx = EvalContext(bindings=values, graph=graph)
-    return tuple(_to_sql_value(expr.evaluate(ctx)) for _, expr in statement.columns)
+    return tuple(to_ids(expr.evaluate(ctx)) for _, expr in statement.columns)
 
 
 def _parse_graph_table(query: str, name: str) -> GraphTableStatement:
@@ -177,14 +177,3 @@ def _default_column_name(expr: Expr, index: int) -> str:
         if head.isidentifier() and tail.isidentifier():
             return tail
     return f"col{index + 1}"
-
-
-def _to_sql_value(value):
-    """Graph elements project as their ids; paths as their text form."""
-    if isinstance(value, (Node, Edge)):
-        return value.id
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, list):
-        return [_to_sql_value(v) for v in value]
-    return value

@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import TableError
-from repro.gpml.expr import EvalContext
+from repro.gpml.expr import AGGREGATE_FUNCS, EvalContext, fold_aggregate
 from repro.gpml.parser import parse_expression
-from repro.values import NULL, is_null
+from repro.values import NULL, hashable_key, is_null, sort_key
 
 
 class Table:
@@ -99,8 +99,9 @@ class Table:
         seen: set[tuple] = set()
         out = []
         for row in self.rows:
-            if row not in seen:
-                seen.add(row)
+            key = hashable_key(row)
+            if key not in seen:
+                seen.add(key)
                 out.append(row)
         return Table(self.columns, out, name=self.name)
 
@@ -124,10 +125,10 @@ class Table:
             )
         index: dict[tuple, list[tuple]] = {}
         for row in other.rows:
-            index.setdefault(tuple(row[i] for i in right_idx), []).append(row)
+            index.setdefault(hashable_key([row[i] for i in right_idx]), []).append(row)
         rows = []
         for row in self.rows:
-            key = tuple(row[i] for i in left_idx)
+            key = hashable_key([row[i] for i in left_idx])
             if any(is_null(v) for v in key):
                 continue  # SQL: NULLs never join
             for other_row in index.get(key, ()):
@@ -135,19 +136,12 @@ class Table:
         return Table(out_columns, rows, name=self.name)
 
     def order_by(self, columns: Sequence[str], descending: bool = False) -> "Table":
+        """Stable sort on *columns* with the shared :func:`sort_key`
+        (NULLs last ascending, first descending)."""
         indexes = [self._index(c) for c in columns]
 
         def key(row: tuple) -> tuple:
-            # NULLs sort last (ascending); values keyed by type name to
-            # keep heterogeneous columns orderable.
-            out = []
-            for i in indexes:
-                value = row[i]
-                if is_null(value):
-                    out.append((1, "", ""))
-                else:
-                    out.append((0, type(value).__name__, value))
-            return tuple(out)
+            return tuple(sort_key(row[i]) for i in indexes)
 
         return Table(
             self.columns, sorted(self.rows, key=key, reverse=descending), name=self.name
@@ -165,19 +159,20 @@ class Table:
         aggregates: dict[str, tuple[str, str]],
     ) -> "Table":
         """Group on *keys*; ``aggregates`` maps output column ->
-        (function, input column) with function in COUNT/SUM/AVG/MIN/MAX."""
+        (function, input column) with function one of ``AGGREGATE_FUNCS``."""
         key_idx = [self._index(k) for k in keys]
         groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
+        originals: dict[tuple, tuple] = {}
         for row in self.rows:
-            key = tuple(row[i] for i in key_idx)
+            values = tuple(row[i] for i in key_idx)
+            key = hashable_key(values)
             if key not in groups:
-                order.append(key)
-            groups.setdefault(key, []).append(row)
+                originals[key] = values
+                groups[key] = []
+            groups[key].append(row)
         out_rows = []
-        for key in order:
-            members = groups[key]
-            values = list(key)
+        for key, members in groups.items():
+            values = list(originals[key])
             for func, column in aggregates.values():
                 values.append(_aggregate(func, column, members, self))
             out_rows.append(tuple(values))
@@ -219,18 +214,7 @@ def _aggregate(func: str, column: str, rows: list[tuple], table: Table) -> Any:
         if func != "COUNT":
             raise TableError("only COUNT supports the * argument")
         return len(rows)
+    if func not in AGGREGATE_FUNCS:
+        raise TableError(f"unknown aggregate {func!r}")
     index = table._index(column)
-    values = [row[index] for row in rows if not is_null(row[index])]
-    if func == "COUNT":
-        return len(values)
-    if not values:
-        return NULL
-    if func == "SUM":
-        return sum(values)
-    if func == "AVG":
-        return sum(values) / len(values)
-    if func == "MIN":
-        return min(values)
-    if func == "MAX":
-        return max(values)
-    raise TableError(f"unknown aggregate {func!r}")
+    return fold_aggregate(func, (row[index] for row in rows))

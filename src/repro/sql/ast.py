@@ -20,9 +20,6 @@ from repro.gpml import ast as gpml_ast
 from repro.gpml.expr import Expr
 from repro.pgq.graph_table import GraphTableStatement
 
-#: vertical aggregate functions the executor implements
-AGGREGATE_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX", "LISTAGG")
-
 
 @dataclass(frozen=True)
 class SqlAggregate(Expr):

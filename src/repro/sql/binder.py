@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
-from repro.errors import SqlError
+from repro.errors import ReproError, SqlError
 from repro.gpml.expr import (
     Aggregate,
     AllDifferent,
@@ -30,6 +30,7 @@ from repro.gpml.expr import (
     IsDestinationOf,
     IsDirected,
     IsSourceOf,
+    Literal,
     PropertyRef,
     Same,
     VarRef,
@@ -260,3 +261,63 @@ def output_name(expr: Optional[Expr], alias: Optional[str], index: int) -> str:
         if tail.isidentifier():
             return tail
     return f"col{index + 1}"
+
+
+# ----------------------------------------------------------------------
+# ORDER BY (shared by the SQL planner and GQL's RETURN)
+# ----------------------------------------------------------------------
+def order_by_ordinal(
+    expr: Expr, num_outputs: int, error: type[ReproError] = SqlError
+) -> Optional[int]:
+    """Positional sort: ``ORDER BY 2`` names the second output column.
+
+    Returns the 0-based output index, or None for non-literal keys.  Any
+    other bare constant is rejected — a literal sort key would otherwise
+    be a silent no-op.
+    """
+    if not isinstance(expr, Literal):
+        return None
+    value = expr.value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"non-integer constant {expr} in ORDER BY")
+    if not 1 <= value <= num_outputs:
+        raise error(
+            f"ORDER BY position {value} is not in the select list "
+            f"(1..{num_outputs})"
+        )
+    return value - 1
+
+
+def bind_order_keys(
+    order_by: list,
+    named_items: list[tuple[str, Expr]],
+    bind_order: Callable[[Expr], Expr],
+    distinct: bool,
+    error: type[ReproError] = SqlError,
+) -> list[tuple[Expr, bool]]:
+    """Bind ORDER BY items to ``(expr, descending)`` sort keys.
+
+    A key naming an output column — by position, by name, or by the
+    dotted default name of a property output (``a.x``) — sorts on that
+    output's expression.  Any other key is an expression over the
+    query's input, bound by *bind_order*; DISTINCT forbids those, since
+    duplicates of one output row may disagree on them.
+    """
+    keys: list[tuple[Expr, bool]] = []
+    for item in order_by:
+        bound: Optional[Expr] = None
+        ordinal = order_by_ordinal(item.expr, len(named_items), error)
+        if ordinal is not None:
+            bound = named_items[ordinal][1]
+        elif isinstance(item.expr, (VarRef, PropertyRef)):
+            hits = [expr for name, expr in named_items if name == str(item.expr)]
+            if len(hits) == 1:
+                bound = hits[0]
+        if bound is None and distinct:
+            raise error(
+                f"ORDER BY {item.expr} with DISTINCT must name an output column"
+            )
+        if bound is None:
+            bound = bind_order(item.expr)
+        keys.append((bound, item.descending))
+    return keys

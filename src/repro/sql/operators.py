@@ -22,7 +22,7 @@ from typing import Any, Iterator, Optional
 from repro.errors import SqlError
 from repro.gpml import ast as gpml_ast
 from repro.gpml.engine import PreparedQuery, SeededSearch, prepare
-from repro.gpml.expr import Expr, In, conjoin
+from repro.gpml.expr import Expr, In, conjoin, fold_aggregate
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats, RowBudget, classify_pipeline, render_pipeline
 from repro.graph.model import PropertyGraph
@@ -34,8 +34,8 @@ from repro.pgq.graph_table import (
 )
 from repro.pgq.table import Table
 from repro.planner.anchor import SeedSpec
-from repro.sql.binder import Column, evaluate, holds
-from repro.values import NULL, is_null
+from repro.sql.binder import Column, RowContext, evaluate, holds
+from repro.values import hashable_key, is_null, sort_key
 
 
 class Operator:
@@ -92,16 +92,6 @@ def attach_spans(op: Operator, parent: Span) -> Span:
     for child in op.children:
         attach_spans(child, span)
     return span
-
-
-def _hashable(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    return value
-
-
-def _row_key(row: tuple) -> tuple:
-    return tuple(_hashable(v) for v in row)
 
 
 # ----------------------------------------------------------------------
@@ -302,9 +292,9 @@ class SeededGraphTableScan(GraphTableScan):
         value (or an id not in the graph) has no partners at all.
         Property mode: a plain-scalar probe is answered by the property
         hash index (dict-key equality, which is exactly the join's
-        ``_hashable`` equality for scalars); anything else — e.g. a list,
-        whose index bucket does not mirror ``_hashable``'s list→tuple
-        coercion — falls back to full enumeration.
+        ``hashable_key`` equality for scalars); anything else — e.g. a
+        list, whose index bucket does not mirror ``hashable_key``'s
+        list→tuple coercion — falls back to full enumeration.
         """
         if is_null(value):
             return []
@@ -463,7 +453,8 @@ class Project(Operator):
     def rows(self) -> Iterator[tuple]:
         exprs = [expr for _, expr in self.items]
         for row in self.child.run():
-            yield tuple(evaluate(expr, row) for expr in exprs)
+            ctx = RowContext(row)
+            yield tuple([expr.evaluate(ctx) for expr in exprs])
 
     def describe(self) -> str:
         rendered = ", ".join(
@@ -484,7 +475,7 @@ class Distinct(Operator):
     def rows(self) -> Iterator[tuple]:
         seen: set[tuple] = set()
         for row in self.child.run():
-            key = _row_key(row)
+            key = hashable_key(row)
             if key not in seen:
                 seen.add(key)
                 yield row
@@ -555,14 +546,12 @@ class Join(Operator):
             left_values = [evaluate(k, row) for k in self.left_keys]
             if any(is_null(v) for v in left_values):
                 continue
-            left_key = tuple(_hashable(v) for v in left_values)
+            left_key = hashable_key(left_values)
             probes += 1
             for other in scan.probe(left_values[position]):
                 # The probe yields a candidate superset; re-checking every
                 # key pair here is what makes that contract sufficient.
-                right_key = tuple(
-                    _hashable(evaluate(k, other)) for k in self.right_keys
-                )
+                right_key = hashable_key([evaluate(k, other) for k in self.right_keys])
                 if right_key != left_key:
                     continue
                 merged = row + other
@@ -585,7 +574,7 @@ class Join(Operator):
             right_source = self.right.run()
         build: dict[tuple, list[tuple]] = {}
         for row in right_source:
-            key = tuple(_hashable(evaluate(k, row)) for k in self.right_keys)
+            key = hashable_key([evaluate(k, row) for k in self.right_keys])
             if any(is_null(v) for v in key):
                 continue
             build.setdefault(key, []).append(row)
@@ -595,7 +584,7 @@ class Join(Operator):
             return
         residual = self.residual
         for row in left_source:
-            key = tuple(_hashable(evaluate(k, row)) for k in self.left_keys)
+            key = hashable_key([evaluate(k, row) for k in self.left_keys])
             if any(is_null(v) for v in key):
                 continue
             for other in build.get(key, ()):
@@ -727,9 +716,11 @@ class Aggregate(Operator):
         groups: dict[tuple, list[tuple]] = {}
         order: list[tuple] = []
         originals: dict[tuple, tuple] = {}
+        exprs = [expr for _, expr in self.keys]
         for row in self.child.run():
-            values = tuple(evaluate(expr, row) for _, expr in self.keys)
-            key = _row_key(values)
+            ctx = RowContext(row)
+            values = tuple([expr.evaluate(ctx) for expr in exprs])
+            key = hashable_key(values)
             bucket = groups.get(key)
             if bucket is None:
                 order.append(key)
@@ -768,33 +759,8 @@ class BoundAggregate:
     def compute(self, rows: list[tuple]) -> Any:
         if self.arg is None:  # COUNT(*)
             return len(rows)
-        values = [
-            value
-            for value in (evaluate(self.arg, row) for row in rows)
-            if not is_null(value)
-        ]
-        if self.distinct:
-            unique: list[Any] = []
-            for value in values:
-                if value not in unique:
-                    unique.append(value)
-            values = unique
-        func = self.func
-        if func == "COUNT":
-            return len(values)
-        if func == "LISTAGG":
-            return self.separator.join(str(v) for v in values)
-        if not values:
-            return NULL
-        if func == "SUM":
-            return sum(values)
-        if func == "AVG":
-            return sum(values) / len(values)
-        if func == "MIN":
-            return min(values)
-        if func == "MAX":
-            return max(values)
-        raise SqlError(f"unknown aggregate {func!r}")  # pragma: no cover
+        values = [self.arg.evaluate(RowContext(row)) for row in rows]
+        return fold_aggregate(self.func, values, self.distinct, self.separator)
 
     def __str__(self) -> str:
         distinct = "DISTINCT " if self.distinct else ""
@@ -807,10 +773,8 @@ class BoundAggregate:
 class Sort(Operator):
     """ORDER BY (a pipeline breaker): stable multi-key sort.
 
-    NULLs sort last ascending (first descending); all numeric values
-    (int/float/bool) share one sort class so ``ORDER BY`` interleaves
-    them numerically, and other values are keyed by type name so
-    heterogeneous columns stay orderable.
+    Keys use the shared :func:`~repro.values.sort_key`: NULL is the
+    largest value, and int/float/bool form one numeric class.
     """
 
     def __init__(self, child: Operator, keys: list[tuple[Expr, bool]]):
@@ -824,22 +788,14 @@ class Sort(Operator):
         if self.span is not None:
             self.span.peak_rows = len(rows)
         for expr, descending in reversed(self.keys):
-            rows.sort(key=lambda row: _sort_key(evaluate(expr, row)), reverse=descending)
-        return iter(rows)
+            rows.sort(key=lambda row: sort_key(evaluate(expr, row)), reverse=descending)
+        yield from rows
 
     def describe(self) -> str:
         keys = ", ".join(
             f"{expr}{' DESC' if descending else ''}" for expr, descending in self.keys
         )
         return f"sort: {keys}"
-
-
-def _sort_key(value: Any) -> tuple:
-    if is_null(value):
-        return (1, "", "")
-    if isinstance(value, (bool, int, float)):
-        return (0, "number", _hashable(value))
-    return (0, type(value).__name__, _hashable(value))
 
 
 class Limit(Operator):
@@ -917,7 +873,7 @@ class Union(Operator):
         seen: set[tuple] = set()
         for side in (self.left, self.right):
             for row in side.run():
-                key = _row_key(row)
+                key = hashable_key(row)
                 if key not in seen:
                     seen.add(key)
                     yield row

@@ -68,7 +68,9 @@ from repro.sql.binder import (
     Column,
     Scope,
     bind,
+    bind_order_keys,
     bind_post_aggregate,
+    order_by_ordinal,
     output_name,
     referenced_columns,
     substitute_columns,
@@ -134,7 +136,7 @@ def plan_statement(statement: ast.SelectStatement, ctx: PlannerContext) -> Opera
             scope = Scope(root.columns)
             keys = []
             for item in statement.order_by:
-                ordinal = _order_by_ordinal(item.expr, len(root.columns))
+                ordinal = order_by_ordinal(item.expr, len(root.columns))
                 if ordinal is not None:
                     bound: Expr = BoundColumn(
                         ordinal, root.columns[ordinal].qualified
@@ -216,7 +218,7 @@ def _plan_core(
         def bind_order(expr: Expr) -> Expr:
             return bind(expr, scope, where="ORDER BY")
 
-    sort_keys = _bind_order_keys(order_by, named_items, bind_order, core.distinct)
+    sort_keys = bind_order_keys(order_by, named_items, bind_order, core.distinct)
     if sort_keys:
         op = Sort(op, sort_keys)
     op = Project(op, named_items)
@@ -273,53 +275,6 @@ def _dedup_names(
         seen.add(name)
         out.append((name, expr))
     return out
-
-
-def _order_by_ordinal(expr: Expr, num_outputs: int) -> Optional[int]:
-    """SQL positional sort: ``ORDER BY 2`` names the second output column.
-
-    Returns the 0-based output index, or None for non-literal keys.  Any
-    other bare constant is rejected — a literal sort key would otherwise
-    be a silent no-op.
-    """
-    if not isinstance(expr, Literal):
-        return None
-    value = expr.value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SqlError(f"non-integer constant {expr} in ORDER BY")
-    if not 1 <= value <= num_outputs:
-        raise SqlError(
-            f"ORDER BY position {value} is not in the select list "
-            f"(1..{num_outputs})"
-        )
-    return value - 1
-
-
-def _bind_order_keys(
-    order_by: list[ast.OrderItem],
-    named_items: list[tuple[str, Expr]],
-    bind_order,
-    distinct: bool,
-) -> list[tuple[Expr, bool]]:
-    keys: list[tuple[Expr, bool]] = []
-    for item in order_by:
-        bound: Optional[Expr] = None
-        ordinal = _order_by_ordinal(item.expr, len(named_items))
-        if ordinal is not None:
-            bound = named_items[ordinal][1]
-        elif isinstance(item.expr, VarRef):
-            hits = [expr for name, expr in named_items if name == item.expr.name]
-            if len(hits) == 1:
-                bound = hits[0]
-        if bound is None and distinct:
-            raise SqlError(
-                f"ORDER BY {item.expr} with SELECT DISTINCT must name an "
-                f"output column"
-            )
-        if bound is None:
-            bound = bind_order(item.expr)
-        keys.append((bound, item.descending))
-    return keys
 
 
 # ----------------------------------------------------------------------

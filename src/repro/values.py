@@ -11,6 +11,8 @@ The module defines:
 * :data:`NULL` — the singleton null marker,
 * :class:`TruthValue` — the three logic values with Kleene connectives,
 * comparison helpers that map Python values into this logic,
+* :func:`hashable_key` and :func:`sort_key` — the grouping/DISTINCT key
+  and the ORDER BY key every host shares,
 * numeric-literal helpers for the paper's ``5M``-style shorthands.
 """
 
@@ -144,6 +146,34 @@ def compare(op: str, left: Any, right: Any) -> TruthValue:
     if op == ">=":
         return truth_of(left >= right)
     raise ValueError(f"unknown comparison operator {op!r}")
+
+
+def hashable_key(value: Any) -> Any:
+    """Grouping, DISTINCT and join key of a value (or of a whole row).
+
+    Lists and tuples become tuples of keys; everything else is its own
+    key.  Scalars therefore compare by Python equality (``1``, ``1.0``
+    and ``True`` share a key) and graph elements and paths by identity
+    within their graph — one rule for every host.
+    """
+    if isinstance(value, (list, tuple)):
+        return tuple([hashable_key(v) for v in value])
+    return value
+
+
+def sort_key(value: Any) -> tuple:
+    """ORDER BY key shared by every host.
+
+    NULL is the largest value: last ascending, first descending.  int,
+    float and bool form one numeric class ordered by value; any other
+    value orders within its type, and types order by name, so
+    heterogeneous columns stay sortable.
+    """
+    if is_null(value):
+        return (1, "", "")
+    if isinstance(value, (bool, int, float)):
+        return (0, "number", value)
+    return (0, type(value).__name__, hashable_key(value))
 
 
 _MAGNITUDE_SUFFIXES = {"K": 1_000, "M": 1_000_000, "B": 1_000_000_000}

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import GpmlSyntaxError, GqlError
 from repro.gql import GqlSession, parse_gql_query
 from repro.gql.query import execute_gql
-from repro.graph import Path
+from repro.graph import GraphBuilder, Path
+from repro.sql import Database
+from repro.values import NULL
 
 
 @pytest.fixture()
@@ -102,6 +104,17 @@ class TestAggregation:
         totals = {r["owner"]: r["total"] for r in result}
         assert totals["Mike"] == 16_000_000
 
+    def test_aggregate_before_group_key(self, session):
+        result = session.execute(
+            "MATCH (a:Account)-[t:Transfer]->(b) "
+            "RETURN COUNT(b) AS n, a.owner AS owner ORDER BY owner LIMIT 3"
+        )
+        assert result.records == [
+            {"n": 1, "owner": "Aretha"},
+            {"n": 1, "owner": "Charles"},
+            {"n": 2, "owner": "Dave"},
+        ]
+
     def test_global_aggregate_single_group(self, session):
         result = session.execute("MATCH (a:Account) RETURN COUNT(a) AS n")
         assert result.records == [{"n": 6}]
@@ -124,6 +137,100 @@ class TestAggregation:
         )
         # targets: a3,a2,a4,a6,a3,a5,a5,a1 -> 6 distinct accounts
         assert result.scalar() == 6
+
+
+def _valued_graph(values):
+    """One :N node per value; a None value leaves the property unset."""
+    builder = GraphBuilder("g")
+    for index, (x, o) in enumerate(values):
+        props = {"o": o} if x is None else {"x": x, "o": o}
+        builder.node(f"n{index}", "N", **props)
+    return builder.build()
+
+
+class TestOrderByBinding:
+    """ORDER BY keys bind like SQL's: an output name (the dotted default
+    alias included), else an expression over the bindings, else an
+    error — never a silent no-op."""
+
+    GRAPH = [(3, "c"), (1, "a"), (2, "b")]
+
+    def test_dotted_default_alias(self):
+        graph = _valued_graph(self.GRAPH)
+        result = execute_gql(graph, "MATCH (a:N) RETURN a.x ORDER BY a.x")
+        assert result.column("a.x") == [1, 2, 3]
+
+    def test_expression_over_bindings(self):
+        graph = _valued_graph(self.GRAPH)
+        result = execute_gql(graph, "MATCH (a:N) RETURN a.o AS o ORDER BY a.x")
+        assert result.column("o") == ["a", "b", "c"]
+        result = execute_gql(graph, "MATCH (a:N) RETURN a.o AS o ORDER BY a.x DESC")
+        assert result.column("o") == ["c", "b", "a"]
+
+    def test_unknown_key_raises(self):
+        graph = _valued_graph(self.GRAPH)
+        with pytest.raises(GqlError, match="nope"):
+            execute_gql(graph, "MATCH (a:N) RETURN a.o AS o ORDER BY nope")
+
+    def test_distinct_requires_an_output_column(self):
+        graph = _valued_graph(self.GRAPH)
+        with pytest.raises(GqlError, match="DISTINCT"):
+            execute_gql(graph, "MATCH (a:N) RETURN DISTINCT a.o AS o ORDER BY a.x")
+        result = execute_gql(graph, "MATCH (a:N) RETURN DISTINCT a.o AS o ORDER BY o")
+        assert result.column("o") == ["a", "b", "c"]
+
+    def test_ordinal(self):
+        graph = _valued_graph(self.GRAPH)
+        result = execute_gql(graph, "MATCH (a:N) RETURN a.o AS o, a.x AS x ORDER BY 2")
+        assert result.column("o") == ["a", "b", "c"]
+        with pytest.raises(GqlError, match="position 3"):
+            execute_gql(graph, "MATCH (a:N) RETURN a.o AS o ORDER BY 3")
+
+    def test_aggregating_return_orders_by_its_columns(self, session):
+        with pytest.raises(GqlError, match="RETURN column"):
+            session.execute(
+                "MATCH (a:Account)-[t:Transfer]->(b) "
+                "RETURN a.owner AS owner, COUNT(b) AS n ORDER BY b.owner"
+            )
+        result = session.execute(
+            "MATCH (a:Account)-[t:Transfer]->(b) "
+            "RETURN a.owner AS owner, COUNT(b) AS n ORDER BY COUNT(b) DESC, a.owner"
+        )
+        assert [(r["owner"], r["n"]) for r in result][:2] == [("Dave", 2), ("Mike", 2)]
+
+    def test_errors_precede_writes(self, fig1):
+        version = fig1.version
+        with pytest.raises(GqlError):
+            execute_gql(fig1, "MATCH (a:Account) SET a.x = 1 RETURN a.owner ORDER BY nope")
+        assert fig1.version == version
+
+
+class TestHostOrderingAgreement:
+    """GQL and SQL order a column identically: int/float/bool as one
+    numeric class, NULL as the largest value."""
+
+    MIXED = [(3, "p"), (2.5, "q"), (1, "r"), (4.0, "s"), (True, "t"), (None, "u")]
+
+    def _both(self, direction):
+        graph = _valued_graph(self.MIXED)
+        db = Database()
+        db.register_graph("g", graph)
+        gql = execute_gql(graph, f"MATCH (a:N) RETURN a.x AS x ORDER BY x{direction}")
+        sql = db.execute(
+            "SELECT x FROM GRAPH_TABLE(g MATCH (a:N) COLUMNS (a.x AS x)) "
+            f"ORDER BY x{direction}"
+        )
+        return gql.column("x"), [row[0] for row in sql.rows]
+
+    def test_ascending(self):
+        gql, sql = self._both("")
+        assert gql == sql == [1, True, 2.5, 3, 4.0, NULL]
+        assert [type(v) for v in gql] == [type(v) for v in sql]
+
+    def test_descending_puts_null_first(self):
+        gql, sql = self._both(" DESC")
+        assert gql == sql == [NULL, 4.0, 3, 2.5, 1, True]
+        assert [type(v) for v in gql] == [type(v) for v in sql]
 
 
 class TestResultApi:

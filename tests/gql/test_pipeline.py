@@ -439,6 +439,40 @@ class TestExplain:
         assert "row budget = OFFSET+LIMIT" not in plan
         assert "no LIMIT: runs to exhaustion" in plan
 
+    @pytest.mark.parametrize(
+        "query, tail",
+        [
+            (
+                "MATCH (a:Account)-[t:Transfer]->(b) RETURN DISTINCT a.owner AS o LIMIT 2",
+                [
+                    "RETURN: o",
+                    "  [streaming] projection — DISTINCT streams (counts distinct "
+                    "records); row budget = OFFSET+LIMIT stops the chain's searches",
+                ],
+            ),
+            (
+                "MATCH (a:Account)-[t:Transfer]->(b) "
+                "RETURN a.owner AS o, COUNT(b) AS n ORDER BY n",
+                [
+                    "RETURN: o, n",
+                    "  [blocking] vertical aggregation + ORDER BY materializes all "
+                    "records; LIMIT/OFFSET slice afterwards",
+                ],
+            ),
+            (
+                "MATCH (a:Account) SET a.x = 1 RETURN a.owner LIMIT 1",
+                [
+                    "RETURN: a.owner",
+                    "  [blocking] DML transaction: statements run eagerly, commit on "
+                    "success or rollback to the pre-query graph; LIMIT/OFFSET slice "
+                    "the returned records",
+                ],
+            ),
+        ],
+    )
+    def test_return_lines_pinned(self, query, tail):
+        assert explain_gql(query).splitlines()[-2:] == tail
+
     def test_optional_padding_rendered(self):
         plan = explain_gql(
             "MATCH (a:Account) OPTIONAL MATCH (a)-[t:Transfer]->(b) RETURN a, b"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TableError
 from repro.pgq import Table
+from repro.pgq.graph_table import graph_table
 from repro.values import NULL, is_null
 
 
@@ -202,6 +203,43 @@ class TestEdgeCases:
     def test_unknown_column_names_table(self, accounts):
         with pytest.raises(TableError, match="accounts"):
             accounts.project(["nope"])
+
+
+class TestSharedValueHelpers:
+    """Table goes through the hosts' shared key, sort and fold helpers."""
+
+    QUERY = (
+        "MATCH (a:Account)-[e:Transfer]->{1,2}(b:Account) "
+        "COLUMNS (a.owner AS o, e AS es)"
+    )
+
+    def test_distinct_over_list_columns(self, fig1):
+        table = graph_table(fig1, self.QUERY)
+        assert any(isinstance(row[1], list) for row in table.rows)
+        doubled = table.union_all(table)
+        assert len(doubled.distinct()) == len(table.distinct()) <= len(table)
+
+    def test_group_by_list_column(self, fig1):
+        table = graph_table(fig1, self.QUERY)
+        grouped = table.group_by(["es"], {"n": ("COUNT", "*"), "o": ("MIN", "o")})
+        assert sum(row["n"] for row in grouped) == len(table)
+        assert all(isinstance(row["es"], list) for row in grouped)
+
+    def test_order_by_numeric_class(self):
+        table = Table(["x"], [(3,), (2.5,), (1,), (4.0,), (True,), (NULL,)])
+        assert [row[0] for row in table.order_by(["x"]).rows] == [
+            1, True, 2.5, 3, 4.0, NULL,
+        ]
+        assert [row[0] for row in table.order_by(["x"], descending=True).rows] == [
+            NULL, 4.0, 3, 2.5, 1, True,
+        ]
+
+    def test_listagg_and_unknown_aggregate(self):
+        table = Table(["g", "v"], [("a", "x"), ("a", NULL), ("a", "y")])
+        grouped = table.group_by(["g"], {"all": ("listagg", "v")})
+        assert grouped.to_dicts() == [{"g": "a", "all": "x, y"}]
+        with pytest.raises(TableError, match="MEDIAN"):
+            table.group_by(["g"], {"m": ("MEDIAN", "v")})
 
 
 class TestDisplay:
