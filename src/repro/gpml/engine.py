@@ -82,7 +82,7 @@ class PreparedQuery:
     normalized: ast.GraphPattern
     analysis: QueryAnalysis
     nfas: list[PatternNFA]
-    #: per-graph query plan, keyed on the graph's mutation version
+    #: query plan, keyed on the graph's statistics catalog
     #: (managed by repro.planner.plan.plan_query)
     plan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 

@@ -513,10 +513,7 @@ class FrontierMatcher:
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
             return self._start_candidates
-        candidates = initial_node_candidates(self.graph, self.pattern)
-        if candidates is None:
-            return sorted(self.graph.node_ids())
-        return candidates
+        return initial_node_candidates(self.graph, self.pattern)
 
     # -- search --------------------------------------------------------
     def enumerate_all(self) -> Iterator[PathBinding]:

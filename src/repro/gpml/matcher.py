@@ -499,10 +499,7 @@ class Matcher:
     def _initial_candidates(self) -> list[str]:
         if self._start_candidates is not None:
             return self._start_candidates
-        candidates = initial_node_candidates(self.graph, self.pattern)
-        if candidates is None:
-            return sorted(self.graph.node_ids())
-        return candidates
+        return initial_node_candidates(self.graph, self.pattern)
 
     # -- epsilon closure --------------------------------------------------
     def _closure(self, run: _Run, frontier: list[_Run]) -> Iterator[PathBinding]:

@@ -268,10 +268,7 @@ class StandingQuery:
     def _initial_candidates(self) -> list[str]:
         first = self._first_match()
         pattern = first.prepared.normalized.paths[0].pattern
-        candidates = initial_node_candidates(self.graph, pattern)
-        if candidates is None:
-            return sorted(self.graph.node_ids())
-        return candidates
+        return initial_node_candidates(self.graph, pattern)
 
     def _rows_for_starts(
         self, starts: list[str], stats: PipelineStats

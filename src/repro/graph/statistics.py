@@ -4,17 +4,17 @@ Two layers:
 
 * :func:`graph_statistics` — the structural summary used by EXPLAIN and
   benchmarks (node/edge counts, label histograms, degrees),
-* :func:`cardinality_statistics` — the planner-facing catalog: per-label
-  node/edge cardinalities, label-pair edge counts (join selectivities),
-  and per-(label, property) distinct-value counts.  The cost-based
-  planner (:mod:`repro.planner`) consumes these through a per-graph cache
-  keyed on :attr:`PropertyGraph.version`.
+* :class:`CardinalityStatistics` — the planner-facing catalog: per-label
+  node/edge cardinalities, label-pair edge selectivities and
+  per-(label, property) distinct-value counts, each computed on first
+  use.  The cost-based planner (:mod:`repro.planner`) consumes it through
+  a per-graph cache keyed on :attr:`PropertyGraph.version`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.graph.model import OUT, PropertyGraph
@@ -82,84 +82,32 @@ def graph_statistics(graph: PropertyGraph) -> GraphStatistics:
 # ----------------------------------------------------------------------
 # Planner-facing cardinality catalog
 # ----------------------------------------------------------------------
-#: histogram key for elements carrying no label at all
+#: label key standing for elements (or endpoints) carrying no label at all
 UNLABELED = None
 
 
-@dataclass(frozen=True)
 class CardinalityStatistics:
     """Cardinalities and selectivities backing cost-based planning.
 
-    * ``node_label_counts`` / ``edge_label_counts`` — elements per label
-      (an element with several labels counts once per label); the
-      ``None`` key counts completely unlabeled elements.
-    * ``edge_label_pairs`` — per edge label, how many edges connect a
-      (source-label, target-label) pair; undirected edges count both
-      orientations.  ``None`` in a pair slot stands for an unlabeled
-      endpoint.  ``count / edge_label_counts[label]`` is the label-pair
-      selectivity of the edge label.
-    * ``distinct_values`` — per (kind, label-or-None, property), the
-      number of distinct values the property takes on elements carrying
-      the label.  Drives equality-predicate selectivity: a lookup of one
-      value is estimated at ``label_count / distinct``.
-    """
+    Each number is computed on first use from the graph's
+    always-maintained label indexes, so planning on a 60k-node graph
+    costs milliseconds rather than a full graph pass:
 
-    version: int
-    num_nodes: int
-    num_edges: int
-    node_label_counts: dict[Optional[str], int] = field(default_factory=dict)
-    edge_label_counts: dict[Optional[str], int] = field(default_factory=dict)
-    edge_label_pairs: dict[
-        Optional[str], dict[tuple[Optional[str], Optional[str]], int]
-    ] = field(default_factory=dict)
-    distinct_values: dict[tuple[str, Optional[str], str], int] = field(
-        default_factory=dict
-    )
+    * ``node_count`` / ``edge_count`` — elements carrying a label (an
+      element with several labels counts once per label); ``None`` means
+      every element.  O(1): ``len()`` of an index set.
+    * ``distinct`` — the number of distinct values a property takes on
+      elements carrying a label (``None``: on every element; unhashable
+      values count by ``repr``).  Scans only that label's members.
+    * ``pair_selectivity`` — the fraction of an edge label's edges that
+      join a (source-label, target-label) pair; undirected edges count
+      both orientations and ``None`` in a slot stands for an unlabeled
+      endpoint (or, as the edge label, for unlabeled edges).  Scans only
+      that edge label's members.
 
-    def node_count(self, label: Optional[str]) -> int:
-        if label is None:
-            return self.num_nodes
-        return self.node_label_counts.get(label, 0)
-
-    def edge_count(self, label: Optional[str]) -> int:
-        if label is None:
-            return self.num_edges
-        return self.edge_label_counts.get(label, 0)
-
-    def distinct(self, kind: str, label: Optional[str], prop: str) -> int:
-        """Distinct values of *prop*; 0 when no element carries it."""
-        return self.distinct_values.get((kind, label, prop), 0)
-
-    def pair_selectivity(
-        self, edge_label: Optional[str], source_label: Optional[str], target_label: Optional[str]
-    ) -> float:
-        """Fraction of *edge_label* edges joining the given label pair."""
-        pairs = self.edge_label_pairs.get(edge_label)
-        total = self.edge_count(edge_label)
-        if not pairs or not total:
-            return 1.0
-        count = pairs.get((source_label, target_label), 0)
-        return count / total
-
-
-class LazyCardinalityStatistics:
-    """Pay-as-you-go twin of :class:`CardinalityStatistics`.
-
-    The eager collector costs one full graph pass — on a 60k-node graph
-    that is ~1s before the first matcher step runs.  This class exposes
-    the same read API but computes each number on first use, from the
-    graph's always-maintained label indexes:
-
-    * label cardinalities are ``len()`` of an index set — O(1),
-    * distinct-value counts scan only the requested label's members,
-    * label-pair counters scan only the requested edge label's members.
-
-    Every number is **identical** to the eager collector's (same repr
-    fallback for unhashable values, same UNLABELED bookkeeping, same
-    both-orientations rule for undirected edges), so planner decisions —
-    anchor sides, candidate sources, join orders — cannot diverge.  The
-    instance is valid for one graph version; the catalog cache discards
-    it when :attr:`PropertyGraph.version` moves.
+    An instance is valid for one graph version; the planner's catalog
+    cache (:mod:`repro.planner.stats`) discards it when
+    :attr:`PropertyGraph.version` moves.
     """
 
     def __init__(self, graph: PropertyGraph):
@@ -169,10 +117,7 @@ class LazyCardinalityStatistics:
         self.num_edges = graph.num_edges
         self._distinct: dict[tuple[str, Optional[str], str], int] = {}
         self._pairs: dict[Optional[str], dict] = {}
-        self._node_label_counts: Optional[dict[Optional[str], int]] = None
-        self._edge_label_counts: Optional[dict[Optional[str], int]] = None
 
-    # -- label cardinalities (O(1) from the live label indexes) --------
     def node_count(self, label: Optional[str]) -> int:
         if label is None:
             return self.num_nodes
@@ -183,42 +128,8 @@ class LazyCardinalityStatistics:
             return self.num_edges
         return len(self._graph._edge_label_index.get(label, ()))
 
-    @property
-    def node_label_counts(self) -> dict[Optional[str], int]:
-        if self._node_label_counts is None:
-            counts: dict[Optional[str], int] = {
-                label: len(members)
-                for label, members in self._graph._node_label_index.items()
-                if members
-            }
-            labeled: set[str] = set()
-            for members in self._graph._node_label_index.values():
-                labeled.update(members)
-            unlabeled = self.num_nodes - len(labeled)
-            if unlabeled:
-                counts[UNLABELED] = unlabeled
-            self._node_label_counts = counts
-        return self._node_label_counts
-
-    @property
-    def edge_label_counts(self) -> dict[Optional[str], int]:
-        if self._edge_label_counts is None:
-            counts: dict[Optional[str], int] = {
-                label: len(members)
-                for label, members in self._graph._edge_label_index.items()
-                if members
-            }
-            labeled: set[str] = set()
-            for members in self._graph._edge_label_index.values():
-                labeled.update(members)
-            unlabeled = self.num_edges - len(labeled)
-            if unlabeled:
-                counts[UNLABELED] = unlabeled
-            self._edge_label_counts = counts
-        return self._edge_label_counts
-
-    # -- distinct-value counts (scan one label's members on demand) ----
     def distinct(self, kind: str, label: Optional[str], prop: str) -> int:
+        """Distinct values of *prop*; 0 when no element carries it."""
         key = (kind, label, prop)
         cached = self._distinct.get(key)
         if cached is not None:
@@ -246,13 +157,13 @@ class LazyCardinalityStatistics:
         self._distinct[key] = count
         return count
 
-    # -- label-pair selectivity (scan one edge label on demand) --------
     def pair_selectivity(
         self,
         edge_label: Optional[str],
         source_label: Optional[str],
         target_label: Optional[str],
     ) -> float:
+        """Fraction of *edge_label* edges joining the given label pair."""
         pairs = self._pairs.get(edge_label)
         if pairs is None:
             pairs = self._collect_pairs(edge_label)
@@ -286,62 +197,3 @@ class LazyCardinalityStatistics:
                     for dst in dst_labels:
                         pairs[(src, dst)] += 1
         return dict(pairs)
-
-
-def cardinality_statistics(graph: PropertyGraph) -> CardinalityStatistics:
-    """One full pass over the graph collecting the planner's catalog."""
-    node_label_counts: Counter = Counter()
-    edge_label_counts: Counter = Counter()
-    edge_label_pairs: dict[Optional[str], Counter] = {}
-    distinct_sets: dict[tuple[str, Optional[str], str], set] = {}
-
-    def _record_properties(kind: str, labels: frozenset, properties: dict) -> None:
-        label_keys: tuple = tuple(labels) if labels else (UNLABELED,)
-        for prop, value in properties.items():
-            try:
-                hash(value)
-            except TypeError:
-                value = repr(value)
-            for label in label_keys:
-                distinct_sets.setdefault((kind, label, prop), set()).add(value)
-            distinct_sets.setdefault((kind, None, prop), set()).add(value)
-
-    for node in graph.nodes():
-        labels = node.labels
-        if labels:
-            node_label_counts.update(labels)
-        else:
-            node_label_counts[UNLABELED] += 1
-        _record_properties("node", labels, dict(node.properties))
-
-    for edge in graph.edges():
-        labels = edge.labels
-        if labels:
-            edge_label_counts.update(labels)
-        else:
-            edge_label_counts[UNLABELED] += 1
-        _record_properties("edge", labels, dict(edge.properties))
-
-        first, second = edge.endpoint_ids
-        source_labels = tuple(graph.labels_of(first)) or (UNLABELED,)
-        target_labels = tuple(graph.labels_of(second)) or (UNLABELED,)
-        edge_keys: tuple = tuple(labels) if labels else (UNLABELED,)
-        orientations = [(source_labels, target_labels)]
-        if not edge.is_directed:
-            orientations.append((target_labels, source_labels))
-        for label in edge_keys:
-            pairs = edge_label_pairs.setdefault(label, Counter())
-            for src_labels, dst_labels in orientations:
-                for src in src_labels:
-                    for dst in dst_labels:
-                        pairs[(src, dst)] += 1
-
-    return CardinalityStatistics(
-        version=graph.version,
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
-        node_label_counts=dict(node_label_counts),
-        edge_label_counts=dict(edge_label_counts),
-        edge_label_pairs={k: dict(v) for k, v in edge_label_pairs.items()},
-        distinct_values={k: len(v) for k, v in distinct_sets.items()},
-    )

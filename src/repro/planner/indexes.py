@@ -238,30 +238,25 @@ def candidate_source(
     return CandidateSource(kind=FULL_SCAN, estimate=float(catalog.num_nodes))
 
 
-def initial_node_candidates(
-    graph: PropertyGraph, pattern: ast.Pattern
-) -> Optional[list[str]]:
+def initial_node_candidates(graph: PropertyGraph, pattern: ast.Pattern) -> list[str]:
     """Start candidates for a pattern anchored at its leftmost element.
 
     The fallback of both engines (object matcher and columnar frontier)
-    when no plan supplies candidates: pins the left end, then serves it
-    from a property index or label scan.  ``None``
-    means nothing could be narrowed — scan all nodes.  This is the
-    sargable upgrade of the old label-only narrowing: ``(x WHERE
-    x.id = 5)`` without a label now probes the (None, 'id') hash index
+    and of standing queries when no plan supplies candidates: pins the
+    left end, then serves it from a property index or label scan, and
+    otherwise scans every node.  The result is sorted.  ``(x WHERE
+    x.id = 5)`` without a label probes the (None, 'id') hash index
     instead of scanning every node.
 
-    Deliberately statistics-free: this path also serves the planner-off
-    configuration, where rebuilding the cardinality catalog after every
-    mutation would cost a full graph pass per query.  Correctness needs
-    no estimates — any sargable equality is at least as narrow as the
-    label scan it replaces.
+    Statistics-free: this path also serves the planner-off
+    configuration, and correctness needs no estimates — any sargable
+    equality is at least as narrow as the label scan it replaces.
     """
     from repro.planner.anchor import LEFT, pinned_end_nodes
 
     nodes = pinned_end_nodes(pattern, LEFT)
     if nodes is None:
-        return None
+        return sorted(graph.node_ids())
     out: set[str] = set()
     for node in nodes:
         labels = required_labels(node.label)
@@ -281,7 +276,7 @@ def initial_node_candidates(
             for label in sorted(labels):
                 out.update(n.id for n in graph.nodes_with_label(label))
         else:
-            return None  # an unconstrained branch end: scan everything
+            return sorted(graph.node_ids())  # an unconstrained branch end
     return sorted(out)
 
 

@@ -171,16 +171,21 @@ def _fmt(value: float) -> str:
 # Planning
 # ----------------------------------------------------------------------
 def plan_query(graph: PropertyGraph, prepared) -> QueryPlan:
-    """Plan *prepared* against *graph*; cached until the graph mutates."""
+    """Plan *prepared* against *graph*; cached while its catalog stands.
+
+    The cache key is the identity of the graph's statistics catalog, not
+    its version number: a mutation replaces the catalog and a rollback
+    evicts one built inside the discarded transaction, whose version
+    number recurs afterwards.  The weak reference keeps a prepared query
+    from pinning the graph.
+    """
+    catalog = StatisticsCatalog.for_graph(graph)
     cache = getattr(prepared, "plan_cache", None)
     if cache is not None:
         entry = cache.get("plan")
-        if entry is not None:
-            cached_ref, cached_version, cached_plan = entry
-            if cached_ref() is graph and cached_version == graph.version:
-                return cached_plan
+        if entry is not None and entry[0]() is catalog:
+            return entry[1]
 
-    catalog = StatisticsCatalog.for_graph(graph)
     patterns = [
         _plan_pattern(catalog, prepared, index)
         for index in range(prepared.num_path_patterns)
@@ -197,7 +202,7 @@ def plan_query(graph: PropertyGraph, prepared) -> QueryPlan:
         pipeline=classify_pipeline(prepared),
     )
     if cache is not None:
-        cache["plan"] = (weakref.ref(graph), graph.version, plan)
+        cache["plan"] = (weakref.ref(catalog), plan)
     return plan
 
 

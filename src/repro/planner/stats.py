@@ -13,27 +13,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.graph.model import PropertyGraph
-from repro.graph.statistics import (  # noqa: F401  (re-export for callers)
-    CardinalityStatistics,
-    LazyCardinalityStatistics,
-    cardinality_statistics,
-)
+from repro.graph.statistics import CardinalityStatistics
 
 _CACHE_ATTR = "_planner_stats_cache"
 
 
 class StatisticsCatalog:
-    """Estimation façade over a cardinality-statistics provider.
+    """Estimation façade over one graph version's :class:`CardinalityStatistics`."""
 
-    ``stats`` is either the eager :class:`CardinalityStatistics` snapshot
-    or (the default via :meth:`for_graph`) the pay-as-you-go
-    :class:`LazyCardinalityStatistics`, which computes identical numbers
-    per label/property on first use instead of one full graph pass up
-    front — planning a query on a 60k-node graph costs milliseconds, not
-    a second.
-    """
-
-    def __init__(self, stats: "CardinalityStatistics | LazyCardinalityStatistics"):
+    def __init__(self, stats: CardinalityStatistics):
         self.stats = stats
 
     # -- caching -------------------------------------------------------
@@ -43,7 +31,7 @@ class StatisticsCatalog:
         cached = getattr(graph, _CACHE_ATTR, None)
         if cached is not None and cached.stats.version == graph.version:
             return cached
-        catalog = cls(LazyCardinalityStatistics(graph))
+        catalog = cls(CardinalityStatistics(graph))
         setattr(graph, _CACHE_ATTR, catalog)
         return catalog
 

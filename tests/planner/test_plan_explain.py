@@ -30,6 +30,25 @@ class TestPlanCaching:
         assert second is not first
         assert second.graph_version == fig1.version
 
+    def test_plan_from_rolled_back_transaction_is_not_served(self, fig1):
+        # Rollback restores the old version number, so a plan keyed on
+        # the version alone would come back once later writes reach the
+        # in-transaction number again — carrying discarded statistics.
+        prepared = prepare("MATCH (a:Account WHERE a.owner='Mike')-[t:Transfer]->(b)")
+        txn = fig1.begin_mutation()
+        for index in range(50):
+            fig1.add_node(f"extra{index}", labels=["Account"])
+        inside = plan_query(fig1, prepared)
+        assert inside.num_nodes == 64
+        txn_version = fig1.version
+        txn.rollback()
+        for index in range(50):
+            fig1.set_property("a1", "touch", index)
+        assert fig1.version == txn_version
+        after = plan_query(fig1, prepared)
+        assert after is not inside
+        assert after.num_nodes == fig1.num_nodes == 14
+
     def test_plans_are_per_graph(self, fig1):
         prepared = prepare("MATCH (x:Account)")
         other = random_transfer_network(20, 30, seed=1)

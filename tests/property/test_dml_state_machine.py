@@ -8,7 +8,8 @@ dead-simple oracle (two dicts), and every version-keyed derived
 structure must be consistent for the *current* version:
 
 * the maintained property index answers exactly like a full scan,
-* the statistics catalog rebuilds to the live node/edge counts,
+* the statistics catalog answers every label, property and label-pair
+  question exactly like the brute-force oracle in ``tests/planner``,
 * the columnar snapshot is rebuilt for the current version and the
   frontier engine agrees with the object matcher on a probe query,
 * the start candidates of a random sargable anchor (an equality or an
@@ -20,6 +21,9 @@ structure must be consistent for the *current* version:
 in both engine modes (columnar on and off — the same toggle the
 ``REPRO_DISABLE_COLUMNAR=1`` CI leg flips globally).
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -42,6 +46,12 @@ from repro.gpml.parser import parse_match
 from repro.gql import execute_gql
 from repro.planner.plan import plan_query
 from repro.planner.stats import StatisticsCatalog
+
+_PLANNER_TESTS = str(Path(__file__).parent.parent / "planner")
+if _PLANNER_TESTS not in sys.path:
+    sys.path.insert(0, _PLANNER_TESTS)
+
+from cardinality_oracle import assert_matches_oracle  # noqa: E402
 
 PROBE = "MATCH (a)-[e]->(b) RETURN a.v AS src, b.v AS dst"
 LABELS = ("A", "B")
@@ -260,6 +270,7 @@ class DmlMachine(RuleBasedStateMachine):
         assert catalog.num_nodes == len(self.nodes)
         assert catalog.num_edges == len(self.edges)
         assert StatisticsCatalog.for_graph(self.graph) is catalog  # cached
+        assert_matches_oracle(catalog.stats, self.graph)
 
     @invariant()
     def engines_agree_on_probe(self):
