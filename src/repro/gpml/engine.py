@@ -31,16 +31,18 @@ materializing wrappers :func:`match` / ``execute_gql`` produce exactly
 
 ``match(graph, "MATCH ...")`` is the one-call public entry point;
 ``prepare`` caches everything up to step 4 for repeated execution.
-:func:`iter_seeded_rows` is the anchored variant behind GQL's chained
-MATCH: it runs a single-pattern query from explicit start nodes (forward
-or reversed), one seeded search per upstream binding row.
+:class:`SeededSearch` runs a single-pattern query from nodes bound at run
+time (GQL chained MATCH, the SQL seeded join, standing-query refresh):
+each seed is one run of the same planned pipeline, its anchor a
+:class:`~repro.planner.plan.PatternPlan` whose start candidate is the
+seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.worklog import Telemetry
@@ -69,8 +71,8 @@ from repro.obs.trace import Span, timed_rows
 from repro.graph.model import Edge, Node, PropertyGraph
 from repro.graph.path import Path, to_ids
 from repro.planner.anchor import RIGHT, reverse_binding
-from repro.planner.plan import QueryPlan, plan_query
-from repro.values import NULL, hashable_key
+from repro.planner.plan import PatternPlan, QueryPlan, SeedSpec, plan_query, seed_plan
+from repro.values import NULL, hashable_key, is_null
 
 
 @dataclass
@@ -275,7 +277,10 @@ def match_iter(
     def rows() -> Iterator[BindingRow]:
         if budget.satisfied:
             return
-        for row in _match_stream(graph, prepared, config, plan, budget, stats, span):
+        if span is not None and plan is not None and prepared.num_path_patterns > 1:
+            span.event("join_order", order=[i + 1 for i in plan.join_order])
+        patterns = plan.patterns if plan is not None else None
+        for row in _match_stream(graph, prepared, config, patterns, budget, stats, span):
             if own_budget:
                 budget.take()
             if count_rows and stats is not None:
@@ -452,7 +457,7 @@ def iter_solve_path_pattern(
     prepared: PreparedQuery,
     index: int,
     config: MatcherConfig,
-    plan: Optional[QueryPlan] = None,
+    pattern_plan: Optional[PatternPlan] = None,
     budget: Optional[RowBudget] = None,
     stats: Optional[PipelineStats] = None,
     span: Optional[Span] = None,
@@ -461,118 +466,58 @@ def iter_solve_path_pattern(
     """Solutions (reduced, deduplicated, selected) of one path pattern,
     streamed lazily in the engine's deterministic discovery order.
 
-    With a plan, the search starts from the planned candidate set and —
-    for a right anchor — runs the reversed pattern, mapping each accepted
-    binding back to forward orientation before reduction, so everything
-    downstream (dedup, selectors, joins) is orientation-blind.
+    With a plan, the search starts from the planned candidate set (for a
+    seeded run, the seed node) and — for a right anchor — runs the
+    reversed pattern, mapping each accepted binding back to forward
+    orientation before reduction, so everything downstream (dedup,
+    selectors, joins) is orientation-blind.  When the search closes
+    (normally or abandoned), the plan records the observed start
+    candidates and matcher steps.
 
     Reduction and deduplication stream (incremental seen-set); a selector
     is a pipeline breaker — it materializes this pattern's solution set,
     then yields its selection.  ``budget`` must only be given when this
     stream feeds the terminal consumer directly (never for a hash-join
     build side, which has to be complete).
+
+    With a ``span``, the stages open child spans matching the names
+    ``classify_pipeline`` uses; the search span's step count is the
+    matcher's step count, read once when the search closes — the matcher
+    hot loop itself is not instrumented per span.
     """
     path = prepared.normalized.paths[index]
     analysis = prepared.analysis.paths[index]
-    nfa = prepared.nfas[index]
-
-    pattern_plan = plan.patterns[index] if plan is not None else None
-    reversed_run = (
+    run_path, run_nfa = path, prepared.nfas[index]
+    reverse = (
         pattern_plan is not None
         and pattern_plan.side == RIGHT
         and pattern_plan.reversed_nfa is not None
     )
-    if reversed_run:
-        matcher = _make_matcher(
-            graph,
-            pattern_plan.reversed_nfa,
-            pattern_plan.reversed_path.pattern,
-            config,
-            analysis,
-            start_candidates=lambda: pattern_plan.start_candidates(graph),
-            budget=budget,
-            stats=stats,
-        )
-    else:
-        start = (
-            (lambda: pattern_plan.start_candidates(graph))
-            if pattern_plan is not None
-            else None
-        )
-        matcher = _make_matcher(
-            graph, nfa, path.pattern, config, analysis,
-            start_candidates=start, budget=budget, stats=stats,
-        )
-
-    def record_candidates() -> None:
-        if pattern_plan is not None:
-            pattern_plan.observed_candidates = matcher.initial_candidate_count
-
-    anchor_meta: dict[str, Any] = {}
-    if span is not None and pattern_plan is not None:
-        anchor_meta = {
-            "anchor": f"{pattern_plan.side} via {pattern_plan.source.describe()}",
-            "est_candidates": pattern_plan.source.estimate,
-            "est_rows": pattern_plan.est_result,
-        }
-    return _iter_pattern_solutions(
-        graph, matcher, path, analysis, config,
-        reverse=reversed_run, on_finish=record_candidates,
-        span=span, label=label or f"pattern #{index + 1}",
-        anchor_meta=anchor_meta,
+    if reverse:
+        run_path, run_nfa = pattern_plan.reversed_path, pattern_plan.reversed_nfa
+    start = (
+        (lambda: pattern_plan.start_candidates(graph))
+        if pattern_plan is not None
+        else None
     )
+    matcher = _make_matcher(
+        graph, run_nfa, run_path.pattern, config, analysis,
+        start_candidates=start, budget=budget, stats=stats,
+    )
+    label = label or f"pattern #{index + 1}"
 
-
-def _run_strategy(matcher: Matcher, path, analysis) -> Iterator[PathBinding]:
-    """Run the search strategy the analysis chose for one path pattern."""
-    strategy = analysis.strategy
-    if strategy == ENUMERATE:
-        return matcher.enumerate_all()
-    if strategy == SHORTEST:
-        return matcher.search_shortest()
-    if strategy == K_SEARCH:
-        return matcher.search_k_shortest(path.selector.k or 1)
-    if strategy == CHEAPEST:
-        selector = path.selector
-        return matcher.search_cheapest(
-            selector.k or 1, selector.cost_property or "cost"
-        )
-    raise GpmlEvaluationError(f"unknown strategy {strategy!r}")
-
-
-def _iter_pattern_solutions(
-    graph: PropertyGraph,
-    matcher: Matcher,
-    path,
-    analysis,
-    config: MatcherConfig,
-    *,
-    reverse: bool = False,
-    on_finish=None,
-    span: Optional[Span] = None,
-    label: str = "pattern #1",
-    anchor_meta: Optional[dict] = None,
-) -> Iterator[ReducedBinding]:
-    """The shared solution stages of one pattern run: strategy search,
-    optional binding reversal, streaming reduce + dedup, selector breaker.
-
-    Used by both the planner-driven :func:`iter_solve_path_pattern` and
-    the seeded :func:`iter_seeded_rows`, so dedup keys, reversal and
-    selector handling cannot drift between the two paths.  ``on_finish``
-    runs when the search generator closes (normally or abandoned).
-
-    With a ``span``, the stages open child spans matching the names
-    ``classify_pipeline`` uses; the search span's step count is the
-    matcher's step delta, read once when the search closes — the matcher
-    hot loop itself is not instrumented per span.
-    """
     raw = _run_strategy(matcher, path, analysis)
     search_span = dedup_span = None
     if span is not None:
+        anchor_meta: dict[str, Any] = {}
+        if pattern_plan is not None:
+            anchor_meta = {
+                "anchor": f"{pattern_plan.side} via {pattern_plan.source.describe()}",
+                "est_candidates": pattern_plan.source.estimate,
+                "est_rows": pattern_plan.est_result,
+            }
         search_span = span.child(
-            f"{label} search ({analysis.strategy})",
-            mode=STREAMING,
-            **(anchor_meta or {}),
+            f"{label} search ({analysis.strategy})", mode=STREAMING, **anchor_meta
         )
         raw = timed_rows(search_span, raw)
         dedup_span = span.child(f"{label} reduce + dedup", mode=STREAMING)
@@ -610,8 +555,9 @@ def _iter_pattern_solutions(
                         search_span.meta["vector_selectivity"] = (
                             metrics.get("frontier_survivors", 0) / examined
                         )
-            if on_finish is not None:
-                on_finish()
+            if pattern_plan is not None:
+                pattern_plan.observed_candidates = matcher.initial_candidate_count
+                pattern_plan.observed_steps = matcher.steps
 
     deduped = solutions()
     if dedup_span is not None:
@@ -640,97 +586,45 @@ def _iter_pattern_solutions(
     return timed_rows(selector_span, selected())
 
 
-def iter_seeded_rows(
-    graph: PropertyGraph,
-    prepared: PreparedQuery,
-    config: MatcherConfig,
-    start_nodes: list[str],
-    *,
-    reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
-    budget: Optional[RowBudget] = None,
-    stats: Optional[PipelineStats] = None,
-    span: Optional[Span] = None,
-) -> Iterator[BindingRow]:
-    """Binding rows of a single-pattern query anchored at explicit nodes.
-
-    This is the engine primitive behind GQL's chained ``MATCH``: a later
-    statement whose pattern pins an end element to a variable bound
-    upstream runs one seeded search per incoming binding row, starting
-    from exactly the bound node instead of every candidate in the graph.
-    ``reversed_run`` carries a pre-compiled reversed pattern + NFA (see
-    :mod:`repro.planner.anchor`) when the bound variable pins the *right*
-    end; accepted bindings are mapped back to forward orientation, so
-    everything downstream is orientation-blind.
-
-    Soundness mirrors the planner's anchor machinery: restricting the
-    start candidates to one node selects whole endpoint partitions, so
-    selectors and KEEP — which choose per endpoint partition — see
-    exactly the partitions a full run would have produced for that node.
-    The final WHERE and KEEP of the prepared pattern are applied here
-    (the caller strips them from ``prepared`` when they must instead see
-    upstream bindings).
-
-    ``span``, when given, *aggregates* across seeded runs: one chained
-    MATCH statement may run thousands of seeded searches, so instead of
-    one span per seed the caller's statement span accumulates the step
-    total and a ``seeded_runs`` tally.  Each matcher's steps are added
-    exactly once, when its run closes.
-    """
-    if prepared.num_path_patterns != 1:
-        raise GpmlEvaluationError(
-            "iter_seeded_rows requires a single-pattern query; "
-            f"got {prepared.num_path_patterns} patterns"
+def _run_strategy(matcher: Matcher, path, analysis) -> Iterator[PathBinding]:
+    """Run the search strategy the analysis chose for one path pattern."""
+    strategy = analysis.strategy
+    if strategy == ENUMERATE:
+        return matcher.enumerate_all()
+    if strategy == SHORTEST:
+        return matcher.search_shortest()
+    if strategy == K_SEARCH:
+        return matcher.search_k_shortest(path.selector.k or 1)
+    if strategy == CHEAPEST:
+        selector = path.selector
+        return matcher.search_cheapest(
+            selector.k or 1, selector.cost_property or "cost"
         )
-    path = prepared.normalized.paths[0]
-    analysis = prepared.analysis.paths[0]
-    if reversed_run is not None:
-        run_path, run_nfa = reversed_run
-    else:
-        run_path, run_nfa = path, prepared.nfas[0]
-    matcher = _make_matcher(
-        graph, run_nfa, run_path.pattern, config, analysis,
-        start_candidates=start_nodes, budget=budget, stats=stats,
-    )
-    # Selector note: a seeded run restricts the search to whole endpoint
-    # partitions, so the (blocking) selector stage is scoped to exactly
-    # this seed's partitions and selects what a full run would have.
-    selected = _iter_pattern_solutions(
-        graph, matcher, path, analysis, config, reverse=reversed_run is not None
-    )
-
-    def rows() -> Iterator[BindingRow]:
-        condition = prepared.normalized.where
-        try:
-            for solution in selected:
-                values, path_obj = _materialize(graph, solution, analysis, path.path_var)
-                row = BindingRow(values, [path_obj])
-                if condition is not None and not condition.truth(
-                    EvalContext(bindings=row.values, graph=graph)
-                ):
-                    continue
-                yield row
-        finally:
-            if span is not None:
-                span.steps += matcher.steps
-                span.bump("seeded_runs")
-
-    if prepared.normalized.keep is None:
-        return rows()
-    return iter(_apply_keep(graph, list(rows()), prepared.normalized.keep))
+    raise GpmlEvaluationError(f"unknown strategy {strategy!r}")
 
 
 class SeededSearch:
-    """The shared seeded-search entry point, with per-distinct-seed memo.
+    """The one seeded-search entry point, with per-distinct-seed memo.
 
-    Both hosts anchor searches at runtime-known nodes through this object:
-    GQL's chained MATCH seeds one run per incoming binding row, and the
-    SQL planner's join-through-GRAPH_TABLE rewrite seeds one run per probe
-    row.  Each :meth:`run` wraps :func:`iter_seeded_rows` for one seed
-    node and yields ``(values, paths)`` items.
+    Every search anchored at a node known only at run time goes through
+    this object: GQL's chained MATCH seeds one run per incoming binding
+    row, the SQL planner's join-through-GRAPH_TABLE rewrite one run per
+    probe row, and a standing query one run per start node it refreshes.
+    Each run is one pass of the planned pipeline (:func:`_match_stream`)
+    over the single-pattern query, anchored by a copy of ``seed``'s :class:`~repro.planner.plan.PatternPlan` whose
+    start candidate is the seed (no ``seed``: the pattern's left end).
+    The final WHERE and KEEP of ``prepared`` apply per run; callers strip
+    them from ``prepared`` when they must instead see upstream bindings.
+
+    Soundness mirrors the planner's anchors: restricting the start
+    candidates to one node selects whole endpoint partitions, so
+    selectors and KEEP — which choose per endpoint partition — see
+    exactly the partitions a full run would have produced for that node.
 
     Probe streams repeat seeds (hub nodes), and re-running the identical
     anchored search per duplicate would cost more than the hash join it
-    replaces — so complete runs are memoized per seed id.  Only
+    replaces — so :meth:`run` memoizes complete runs per seed id
+    (:meth:`run_once` bypasses the memo).  Only
     *exhausted* runs are cached: a run abandoned mid-way (satisfied row
     budget closed the generator) never populates the memo, so a truncated
     candidate list can never be replayed as if complete.  ``span``, when
@@ -744,23 +638,39 @@ class SeededSearch:
         graph: PropertyGraph,
         prepared: PreparedQuery,
         config: Optional[MatcherConfig] = None,
+        seed: Optional[SeedSpec] = None,
         *,
-        reversed_run: "Optional[tuple[ast.PathPattern, PatternNFA]]" = None,
         budget: Optional[RowBudget] = None,
         stats: Optional[PipelineStats] = None,
         span: Optional[Span] = None,
     ):
+        if prepared.num_path_patterns != 1:
+            raise GpmlEvaluationError(
+                "a seeded search requires a single-pattern query; "
+                f"got {prepared.num_path_patterns} patterns"
+            )
         self.graph = graph
         self.prepared = prepared
         self.config = config if config is not None else MatcherConfig()
-        self.reversed_run = reversed_run
+        self.anchor = seed.plan if seed is not None else seed_plan()
         self.budget = budget
         self.stats = stats
         self.span = span
         self._memo: dict[str, list[tuple[dict, list]]] = {}
 
+    def seed_id(self, value: Any) -> Optional[str]:
+        """The node id a bound value anchors at; None when it cannot match
+        (NULL, a non-element value, or a node not in the graph)."""
+        if is_null(value):
+            return None
+        key = _join_key(value)
+        if isinstance(key, str) and self.graph.has_node(key):
+            return key
+        return None
+
     def run(self, seed_id: str) -> Iterator[tuple[dict[str, Any], list]]:
-        """All ``(values, paths)`` rows whose anchored end is *seed_id*."""
+        """All ``(values, paths)`` rows whose anchored end is *seed_id*,
+        memoized per seed."""
         cached = self._memo.get(seed_id)
         if cached is not None:
             if self.span is not None:
@@ -770,15 +680,27 @@ class SeededSearch:
         if self.span is not None:
             self.span.bump("seed_memo_miss")
         acc: list[tuple[dict, list]] = []
-        for m in iter_seeded_rows(
-            self.graph, self.prepared, self.config, [seed_id],
-            reversed_run=self.reversed_run, budget=self.budget,
-            stats=self.stats, span=self.span,
-        ):
-            item = (m.values, m.paths)
+        for item in self.run_once(seed_id):
             acc.append(item)
             yield item
         self._memo[seed_id] = acc
+
+    def run_once(self, seed_id: str) -> Iterator[tuple[dict[str, Any], list]]:
+        """One anchored run from *seed_id* that bypasses the memo, for a
+        caller whose seeds never repeat (a standing query's distinct
+        starts), where the memo would only hold every run's rows."""
+        plan = self.anchor.seeded(seed_id)
+        rows = _match_stream(
+            self.graph, self.prepared, self.config, [plan], self.budget, self.stats
+        )
+        try:
+            for row in rows:
+                yield row.values, row.paths
+        finally:
+            if self.span is not None:
+                rows.close()  # an abandoned run records its steps on close
+                self.span.steps += plan.observed_steps or 0
+                self.span.bump("seeded_runs")
 
 
 # ----------------------------------------------------------------------
@@ -903,7 +825,7 @@ def _iter_join_rows(
     graph: PropertyGraph,
     prepared: PreparedQuery,
     config: MatcherConfig,
-    plan: Optional[QueryPlan],
+    patterns: Optional[list[PatternPlan]],
     budget: Optional[RowBudget],
     stats: Optional[PipelineStats],
     span: Optional[Span] = None,
@@ -916,13 +838,13 @@ def _iter_join_rows(
     any hash-join build).  Probing a bucket preserves the build pattern's
     solution order, so the emitted rows equal the materializing engine's
     nested-loop order row for row — the row budget therefore only ever
-    cuts a suffix.
+    cuts a suffix.  ``patterns`` holds the anchor of every pattern
+    (None: each starts from its left end).
     """
     num = prepared.num_path_patterns
-    if span is not None and plan is not None and num > 1:
-        span.event("join_order", order=[i + 1 for i in plan.join_order])
+    plans = patterns if patterns is not None else [None] * num
     first_solutions = iter_solve_path_pattern(
-        graph, prepared, 0, config, plan, budget, stats, span=span
+        graph, prepared, 0, config, plans[0], budget, stats, span=span
     )
     path0 = prepared.normalized.paths[0]
     analysis0 = prepared.analysis.paths[0]
@@ -950,7 +872,7 @@ def _iter_join_rows(
             build_start = perf_counter()
         buckets: dict[tuple, list[tuple[dict, Path]]] = {}
         for solution in iter_solve_path_pattern(
-            graph, prepared, index, config, plan, None, stats, span=build_span
+            graph, prepared, index, config, plans[index], None, stats, span=build_span
         ):
             if build_span is not None:
                 build_span.rows_in += 1
@@ -999,19 +921,24 @@ def _match_stream(
     graph: PropertyGraph,
     prepared: PreparedQuery,
     config: MatcherConfig,
-    plan: Optional[QueryPlan],
+    patterns: Optional[list[PatternPlan]],
     budget: Optional[RowBudget],
     stats: Optional[PipelineStats],
     span: Optional[Span] = None,
-) -> Iterator[BindingRow]:
+) -> Generator[BindingRow, None, None]:
     """Joined rows through the postfilter and KEEP, still lazy.
+
+    The one place a pattern run's rows are finished — materialized,
+    filtered by the final WHERE, selected by KEEP — for planned queries
+    and seeded runs alike.  The result is always a generator, so a
+    caller may close it to end the search early.
 
     When untraced, the WHERE postfilter stays the original generator
     expression; tracing swaps in counting wrappers per *stage*, never
     per-row conditionals inside the untraced path.
     """
     rows: Iterator[BindingRow] = _iter_join_rows(
-        graph, prepared, config, plan, budget, stats, span
+        graph, prepared, config, patterns, budget, stats, span
     )
     condition = prepared.normalized.where
     if condition is not None:
@@ -1032,7 +959,7 @@ def _match_stream(
             keep_span = span.child(f"KEEP {keep.kind}", mode=BLOCKING)
             rows = timed_rows(keep_span, _kept_rows(graph, rows, keep, keep_span))
         else:
-            rows = iter(_apply_keep(graph, list(rows), keep))
+            rows = _kept_rows(graph, rows, keep)
     return rows
 
 
@@ -1047,9 +974,13 @@ def _filtered_rows(
 
 
 def _kept_rows(
-    graph: PropertyGraph, rows: Iterator[BindingRow], keep, keep_span: Span
+    graph: PropertyGraph,
+    rows: Iterator[BindingRow],
+    keep,
+    keep_span: Optional[Span] = None,
 ) -> Iterator[BindingRow]:
-    """The traced KEEP breaker; materialization happens on first pull."""
+    """The KEEP breaker; materialization happens on first pull."""
     materialized = list(rows)
-    keep_span.rows_in = keep_span.peak_rows = len(materialized)
+    if keep_span is not None:
+        keep_span.rows_in = keep_span.peak_rows = len(materialized)
     yield from _apply_keep(graph, materialized, keep)

@@ -87,7 +87,7 @@ class MatcherConfig:
 
     max_steps: int = 5_000_000
     max_results: int = 1_000_000
-    max_depth: Optional[int] = None  # k-search / cheapest safety bound
+    max_depth: Optional[int] = None  # k-search layer bound (None: derived)
     default_edge_cost: float = 1.0
     use_label_index: bool = True  # per-node label-filtered incidence lists
     use_planner: bool = True  # cost-based anchor/join planning (repro.planner)

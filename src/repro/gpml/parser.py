@@ -25,6 +25,11 @@ them into edge patterns (the only place the sequences are valid), so
 
 Parsing ``(`` is ambiguous between a node pattern and a parenthesized path
 pattern; we first attempt the node-pattern parse and backtrack on failure.
+
+Value expressions are bounded by :data:`MAX_EXPRESSION_DEPTH` and
+:data:`MAX_EXPRESSION_NESTING` (see docs/gpml.md): every host parses its expressions here, so GQL and SQL
+share the limit, and deeper input is a syntax error instead of a
+``RecursionError`` in some later visitor.
 """
 
 from __future__ import annotations
@@ -47,6 +52,25 @@ from repro.gpml.lexer import EOF, IDENT, KEYWORD, NUMBER, PUNCT, STRING, Token, 
 #: keywords that terminate a pattern at the top level (host-language clauses)
 _CLAUSE_KEYWORDS = ("WHERE", "RETURN", "ORDER", "LIMIT", "OFFSET", "COLUMNS", "KEEP", "MATCH")
 
+#: deepest value expression tree accepted: each operator and operand is
+#: one level, so n comparisons joined by AND are n + 1 levels deep.  The
+#: tree visitors (analysis, evaluation, ``str``, pushdown substitution)
+#: recurse about three frames per level; the shallowest entry points (an
+#: element WHERE, a GRAPH_TABLE WHERE run by SQL) handle 328 levels from
+#: a script's top level under the default recursion limit, so 256 leaves
+#: some 200 frames for the host's own call stack.
+MAX_EXPRESSION_DEPTH = 256
+
+#: deepest nesting of parentheses, function arguments and aggregates: the
+#: parser recurses about ten frames per level and handles 97 from a
+#: script's top level, so 64 leaves some 300 frames for the host.
+MAX_EXPRESSION_NESTING = 64
+
+
+class ExpressionTooDeep(GpmlSyntaxError):
+    """An expression deeper than :data:`MAX_EXPRESSION_DEPTH` or nested
+    deeper than :data:`MAX_EXPRESSION_NESTING`; never backtracked over."""
+
 
 class GpmlParser:
     """A parser instance over one query text.
@@ -59,6 +83,7 @@ class GpmlParser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self._expression_nesting = 0
 
     # ------------------------------------------------------------------
     # Token-stream helpers
@@ -90,6 +115,24 @@ class GpmlParser:
             self.advance()
             return True
         return False
+
+    # Host words: GQL statement words (LET, FILTER, INSERT, ...), SQL
+    # clauses and DDL words are ordinary identifiers to the shared lexer,
+    # so every host matches them here, textually and case-insensitively.
+    # None of them is a GPML keyword, but a keyword token matches too.
+    def at_word(self, *words: str) -> bool:
+        token = self.peek()
+        return token.type in (IDENT, KEYWORD) and str(token.value).upper() in words
+
+    def accept_word(self, *words: str) -> bool:
+        if self.at_word(*words):
+            self.advance()
+            return True
+        return False
+
+    def expect_word(self, word: str) -> None:
+        if not self.accept_word(word):
+            self.error(f"expected {word}, found {self._describe(self.peek())}")
 
     def expect_punct(self, value: str) -> Token:
         if not self.at_punct(value):
@@ -264,6 +307,8 @@ class GpmlParser:
         saved = self.pos
         try:
             return self._parse_node_pattern()
+        except ExpressionTooDeep:
+            raise
         except GpmlSyntaxError:
             self.pos = saved
             return self._parse_paren_pattern("(", ")")
@@ -434,7 +479,29 @@ class GpmlParser:
     # Value expressions (precedence-climbing)
     # ------------------------------------------------------------------
     def parse_expression(self) -> E.Expr:
-        return self._parse_or()
+        start = self.peek().position
+        if self._expression_nesting > MAX_EXPRESSION_NESTING:
+            raise ExpressionTooDeep(
+                f"expression nested deeper than {MAX_EXPRESSION_NESTING} "
+                "parentheses",
+                start,
+                self.text,
+            )
+        self._expression_nesting += 1
+        try:
+            expression = self._parse_or()
+        finally:
+            self._expression_nesting -= 1
+        if (
+            self._expression_nesting == 0
+            and expression_depth(expression) > MAX_EXPRESSION_DEPTH
+        ):
+            raise ExpressionTooDeep(
+                f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels",
+                start,
+                self.text,
+            )
+        return expression
 
     def _parse_or(self) -> E.Expr:
         left = self._parse_and()
@@ -449,9 +516,14 @@ class GpmlParser:
         return left
 
     def _parse_not(self) -> E.Expr:
-        if self.accept_keyword("NOT"):
-            return E.Not(self._parse_not())
-        return self._parse_predicate()
+        # Iterative, like the binary chains: only parentheses recurse.
+        negations = 0
+        while self.accept_keyword("NOT"):
+            negations += 1
+        expression = self._parse_predicate()
+        for _ in range(negations):
+            expression = E.Not(expression)
+        return expression
 
     def _parse_predicate(self) -> E.Expr:
         left = self._parse_additive()
@@ -503,11 +575,14 @@ class GpmlParser:
         return left
 
     def _parse_unary(self) -> E.Expr:
-        if self.accept_punct("-"):
-            return E.Negate(self._parse_unary())
-        if self.accept_punct("+"):
-            return self._parse_unary()
-        return self._parse_primary()
+        negations = 0
+        while self.at_punct("-", "+"):
+            if str(self.advance().value) == "-":
+                negations += 1
+        expression = self._parse_primary()
+        for _ in range(negations):
+            expression = E.Negate(expression)
+        return expression
 
     def _parse_primary(self) -> E.Expr:
         token = self.peek()
@@ -588,6 +663,18 @@ class GpmlParser:
         return E.Aggregate(
             func=func, var=var, prop=prop, distinct=distinct, separator=separator
         )
+
+
+def expression_depth(expression: E.Expr) -> int:
+    """Levels in the expression tree (iterative, so measuring a deep tree
+    cannot itself recurse)."""
+    deepest = 0
+    stack = [(expression, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.children())
+    return deepest
 
 
 # ----------------------------------------------------------------------

@@ -119,13 +119,6 @@ WRITE_STATEMENTS = (InsertStatement, SetStatement, DeleteStatement)
 # ----------------------------------------------------------------------
 # Parsing (driven by repro.gql.query.parse_gql_query)
 # ----------------------------------------------------------------------
-def _word(parser: GpmlParser) -> Optional[str]:
-    token = parser.peek()
-    if token.type == IDENT:
-        return str(token.value).upper()
-    return None
-
-
 def parse_insert_statement(parser: GpmlParser, text: str) -> InsertStatement:
     start = parser.peek().position
     parser.advance()  # INSERT
@@ -233,13 +226,9 @@ def parse_set_statement(parser: GpmlParser, text: str) -> SetStatement:
 
 def parse_delete_statement(parser: GpmlParser, text: str) -> DeleteStatement:
     start = parser.peek().position
-    detach = False
-    if _word(parser) == "DETACH":
-        parser.advance()
-        detach = True
-    if _word(parser) != "DELETE":
+    detach = parser.accept_word("DETACH")
+    if not parser.accept_word("DELETE"):
         parser.error("expected DELETE")
-    parser.advance()
     variables = [parser.expect_ident()]
     while parser.accept_punct(","):
         variables.append(parser.expect_ident())

@@ -80,7 +80,7 @@ from repro.gpml.streaming import (
 )
 from repro.graph.model import PropertyGraph
 from repro.obs.trace import Span, counted_in, timed_rows
-from repro.planner.anchor import SeedSpec, plan_seed
+from repro.planner.plan import SeedSpec, plan_seed
 from repro.values import NULL, is_null
 
 #: variable kinds tracked across statements (for re-declaration checks)
@@ -196,17 +196,16 @@ class CompiledMatch:
             if self.seed is not None:
                 if self._any_null(row):
                     return iter(())
-                seed_key = _join_key(row.get(self.seed.var))
-                if not isinstance(seed_key, str) or not graph.has_node(seed_key):
-                    return iter(())
                 if search is None:
                     search = SeededSearch(
-                        graph, self.prepared, config,
-                        reversed_run=self.seed.reversed_run,
+                        graph, self.prepared, config, self.seed,
                         budget=budget, stats=stats, span=span,
                     )
+                seed_id = search.seed_id(row.get(self.seed.var))
+                if seed_id is None:
+                    return iter(())
                 return (
-                    item for item in search.run(seed_key)
+                    item for item in search.run(seed_id)
                     if self._agrees(item[0], row)
                 )
             if self.direct:

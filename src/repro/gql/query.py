@@ -50,7 +50,6 @@ from typing import Any, Iterable, Iterator, Optional
 from repro.errors import GqlError
 from repro.gpml.expr import Aggregate as AggregateExpr
 from repro.gpml.expr import EvalContext, Expr, PropertyRef, VarRef
-from repro.gpml.lexer import IDENT
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.parser import GpmlParser
 from repro.gpml.streaming import BLOCKING, STREAMING, PipelineStats, RowBudget
@@ -171,25 +170,17 @@ class GqlResult:
 # ----------------------------------------------------------------------
 # Parsing
 # ----------------------------------------------------------------------
-def _at_word(parser: GpmlParser, word: str) -> bool:
-    """Statement words (OPTIONAL/LET/FILTER/USE) are identifiers to the
-    shared lexer — matched textually, like the SQL host's keywords."""
-    token = parser.peek()
-    return token.type == IDENT and str(token.value).upper() == word
-
-
 def parse_gql_query(text: str) -> GqlQuery:
     parser = GpmlParser(text)
     graph_name = None
-    if _at_word(parser, "USE"):
-        parser.advance()
+    if parser.accept_word("USE"):
         graph_name = parser.expect_ident()
     statements: list = []
     has_writes = False
     while True:
         if parser.at_keyword("MATCH"):
             statements.append(_parse_match_statement(parser, text, optional=False))
-        elif _at_word(parser, "OPTIONAL"):
+        elif parser.at_word("OPTIONAL"):
             start = parser.peek().position
             parser.advance()
             if not parser.at_keyword("MATCH"):
@@ -197,17 +188,17 @@ def parse_gql_query(text: str) -> GqlQuery:
             statements.append(
                 _parse_match_statement(parser, text, optional=True, start=start)
             )
-        elif _at_word(parser, "LET"):
+        elif parser.at_word("LET"):
             statements.append(_parse_let_statement(parser, text))
-        elif _at_word(parser, "FILTER"):
+        elif parser.at_word("FILTER"):
             statements.append(_parse_filter_statement(parser, text))
-        elif _at_word(parser, "INSERT"):
+        elif parser.at_word("INSERT"):
             statements.append(parse_insert_statement(parser, text))
             has_writes = True
-        elif _at_word(parser, "SET"):
+        elif parser.at_word("SET"):
             statements.append(parse_set_statement(parser, text))
             has_writes = True
-        elif _at_word(parser, "DELETE") or _at_word(parser, "DETACH"):
+        elif parser.at_word("DELETE", "DETACH"):
             statements.append(parse_delete_statement(parser, text))
             has_writes = True
         else:

@@ -4,20 +4,20 @@ This is the paper's fraud scenario run *continuously*: instead of
 re-running ``MATCH (a:Account WHERE ...)-[:Transfer]->(b ...)`` after
 every mutation, a :class:`StandingQuery` subscribes to the graph's
 change feed (:meth:`PropertyGraph.add_watcher`) and maintains its result
-incrementally, re-matching **only around touched nodes** via the seeded
-per-row search (:func:`repro.gpml.engine.iter_seeded_rows`) — never a
-full re-run.
+incrementally, re-matching **only around touched nodes** with seeded
+searches (:class:`repro.gpml.engine.SeededSearch`, the same entry point
+GQL's chained MATCH and the SQL seeded join use) — never a full re-run.
 
 How incremental maintenance works
 ---------------------------------
 
 The result is partitioned by *start node* — the leftmost node of the
-first MATCH's (single) path pattern.  ``iter_seeded_rows`` restricted to
-one start ``s`` produces exactly the query rows whose first pattern
-begins at ``s`` (the NFA's entry node test validates the seed, so
-seeding arbitrary node ids is sound), and the union over all nodes is
-the full result.  The standing query keeps one *bucket* of result keys
-per start, plus a support count per key; the visible result is a **bag**
+first MATCH's (single) path pattern.  A seeded run from one start ``s``
+produces exactly the query rows whose first pattern begins at ``s`` (the
+NFA's entry node test validates the seed, so seeding arbitrary node ids
+is sound), and the union over all nodes is the full result.  The
+standing query keeps one *bucket* of result keys per start, plus a
+support count per key; the visible result is a **bag**
 — each key appears with its total multiplicity.  Bag semantics matter:
 the engine deduplicates on the full walk (elements + singletons +
 groups), so two different walks may project to identical visible
@@ -63,7 +63,7 @@ from typing import Any, Iterator, Optional
 
 from repro.errors import GqlError
 from repro.gpml import ast
-from repro.gpml.engine import iter_seeded_rows
+from repro.gpml.engine import SeededSearch
 from repro.gpml.expr import EvalContext
 from repro.gpml.matcher import MatcherConfig
 from repro.gpml.streaming import PipelineStats
@@ -283,13 +283,12 @@ class StandingQuery:
         builds and seed memos, never changes the result).
         """
         first = self._first_match()
+        search = SeededSearch(self.graph, first.prepared, self.config, stats=stats)
 
         def tagged() -> Iterator[dict[str, Any]]:
             for start in starts:
-                for match in iter_seeded_rows(
-                    self.graph, first.prepared, self.config, [start], stats=stats
-                ):
-                    row = dict(match.values)
+                for values, _paths in search.run_once(start):
+                    row = dict(values)
                     row[START_TAG] = start
                     yield row
 

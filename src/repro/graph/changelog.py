@@ -6,9 +6,15 @@ what it did.  Two consumers share the journal hooks:
 * :class:`GraphTransaction` — apply-or-rollback for the GQL DML
   statements.  While a transaction is active, every mutation appends an
   *undo entry* capturing enough state to restore the graph
-  **bit-identically**: dictionary insertion positions, incidence-list
-  order, property-index membership, the ``version`` counter and the
-  auto-id counter all come back exactly as they were.  Bit-identical
+  **bit-identically**: node and edge order, incidence order,
+  property-index membership, the ``version`` counter and the auto-id
+  counter all come back exactly as they were.  Undoing a removal re-adds
+  the element at the end of its dict, so the transaction records the
+  node and edge key order once, at its first removal, and each touched
+  node's incidence order once, at the first removal touching it; a
+  rollback restores each recorded order once.  Deleting k elements
+  therefore costs O(k) plus one pass over the dicts it reorders, not
+  one pass per element.  Bit-identical
   matters because downstream caches (the columnar snapshot, the
   statistics catalog) are keyed on ``graph.version``: a rollback restores
   the pre-transaction version, so the restored state must be
@@ -24,16 +30,18 @@ Versions are reused after a rollback (that is the contract: rollback
 restores the prior version).  Caches populated *during* the rolled-back
 window would otherwise match the reused version numbers while describing
 discarded state, so rollback evicts every graph-attached cache whose
-recorded version is newer than the transaction start.  The planner's
-per-prepared-query plan cache needs no eviction: a plan's candidate
-sources re-evaluate against the live graph at run time, so a stale hit
-costs at most a suboptimal anchor choice, never a wrong result.
+recorded version is newer than the transaction start — the columnar
+snapshot, the incidence memo and the planner's statistics catalog.
+Cached query plans need no eviction of their own: they are keyed on the
+catalog object (:func:`repro.planner.plan.plan_query`), so evicting a
+catalog built inside the transaction retires every plan made against
+it, even when later writes bring the version number back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import GraphError
 
@@ -108,12 +116,31 @@ class GraphTransaction:
         self._start_counter = graph._auto_counter
         self._undo: list[tuple] = []
         self._changes: list[ChangeRecord] = []
+        #: node and edge key order before the first removal, and each
+        #: touched node's incidence order before its first removal
+        self._key_order: Optional[tuple[list[str], list[str]]] = None
+        self._incidence_order: dict[str, list] = {}
         graph._txn = self
 
     # -- journal hooks (called from the graph's mutators) ---------------
     def record(self, undo: tuple, change: ChangeRecord) -> None:
         self._undo.append(undo)
         self._changes.append(change)
+
+    def remember_order(self, *endpoints: str) -> None:
+        """Record, before a removal, the orders that rollback restores.
+
+        The node and edge key order is recorded at the first removal,
+        and the incidence order of each of *endpoints* at the first
+        removal touching it.  Elements added before that point appear in
+        the records too, but their own undo entries remove them again.
+        """
+        graph = self.graph
+        if self._key_order is None:
+            self._key_order = (list(graph._nodes), list(graph._edges))
+        for endpoint in endpoints:
+            if endpoint not in self._incidence_order:
+                self._incidence_order[endpoint] = list(graph._incidence[endpoint])
 
     @property
     def changes(self) -> list[ChangeRecord]:
@@ -141,6 +168,13 @@ class GraphTransaction:
         graph = self.graph
         for entry in reversed(self._undo):
             _undo_entry(graph, entry)
+        if self._key_order is not None:
+            node_order, edge_order = self._key_order
+            _restore_order(graph._nodes, node_order)
+            _restore_order(graph._edges, edge_order)
+        for node_id, order in self._incidence_order.items():
+            if node_id in graph._incidence:
+                _restore_order(graph._incidence[node_id], order)
         graph._version = self._start_version
         graph._auto_counter = self._start_counter
         _evict_stale_caches(graph, self._start_version)
@@ -166,23 +200,23 @@ class GraphTransaction:
 # ----------------------------------------------------------------------
 # Undo replay
 # ----------------------------------------------------------------------
-def _reinsert(store: dict, key: str, value: Any, position: int) -> None:
-    """Re-add ``key`` at its original insertion position.
+def _restore_order(store: dict, order: list) -> None:
+    """Rebuild ``store`` with its keys in ``order``.
 
-    Rebuilding the dict is O(n), paid only when rolling back a removal —
-    the price of keeping iteration order (and therefore columnar
-    snapshot layouts and result emission order) bit-identical.
+    Keeps iteration order (and therefore columnar snapshot layouts and
+    result emission order) bit-identical after a rollback.  Keys in
+    ``order`` that the undo already dropped are skipped.
     """
-    if position >= len(store):
-        store[key] = value
-        return
-    items = list(store.items())
-    items.insert(position, (key, value))
+    items = [(key, store[key]) for key in order if key in store]
+    if len(items) != len(store):  # pragma: no cover - undo invariant
+        raise GraphError("rollback restored an element missing from the key order")
     store.clear()
     store.update(items)
 
 
 def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
+    from repro.graph.model import _edge_incidences
+
     op = entry[0]
     if op == ADD_NODE:
         _, node_id = entry
@@ -195,29 +229,27 @@ def _undo_entry(graph: "PropertyGraph", entry: tuple) -> None:
     elif op == ADD_EDGE:
         _, edge_id = entry
         data = graph._edges.pop(edge_id)
-        for endpoint in {data.first, data.second}:
-            graph._incidence[endpoint] = [
-                inc for inc in graph._incidence[endpoint] if inc.edge != edge_id
-            ]
+        for endpoint, incidence in _edge_incidences(edge_id, data):
+            del graph._incidence[endpoint][incidence]
             graph._incidence_label_cache.pop(endpoint, None)
         for label in data.labels:
             graph._edge_label_index[label].discard(edge_id)
         graph._index_element_removed("edge", edge_id, data)
     elif op == REMOVE_EDGE:
-        _, edge_id, data, position, incidence = entry
-        _reinsert(graph._edges, edge_id, data, position)
-        for endpoint, entries in incidence.items():
-            graph._incidence[endpoint] = list(entries)
+        _, edge_id, data = entry
+        graph._edges[edge_id] = data
+        for endpoint, incidence in _edge_incidences(edge_id, data):
+            graph._incidence[endpoint][incidence] = None
             graph._incidence_label_cache.pop(endpoint, None)
         for label in data.labels:
             graph._edge_label_index.setdefault(label, set()).add(edge_id)
         graph._index_element_added("edge", edge_id, data)
     elif op == REMOVE_NODE:
-        _, node_id, data, position = entry
-        _reinsert(graph._nodes, node_id, data, position)
-        # Incident edges come back via their own (later-undone) entries,
-        # whose incidence snapshots overwrite this empty list.
-        graph._incidence[node_id] = []
+        _, node_id, data = entry
+        graph._nodes[node_id] = data
+        # Incident edges come back via their own (later-undone) entries;
+        # rollback then restores the recorded incidence order.
+        graph._incidence[node_id] = {}
         for label in data.labels:
             graph._node_label_index.setdefault(label, set()).add(node_id)
         graph._index_element_added("node", node_id, data)

@@ -60,18 +60,17 @@ class Column:
     """One property column over all elements of a kind, indexed by code.
 
     ``values[code]`` is the raw property value, or :data:`MISSING` when
-    the element lacks the property.  ``codes``/``dictionary`` are set on
-    all-string columns: ``codes[code]`` is an int id into ``dictionary``
-    (−1 = missing), and ``code_of`` inverts it, so a string equality test
-    becomes one list index + one int compare.
+    the element lacks the property.  ``codes``/``code_of`` are set on
+    all-string columns: ``codes[code]`` is the int id of the value's
+    string (−1 = missing) and ``code_of`` maps each string to its id, so a
+    string equality test becomes one list index + one int compare.
     """
 
-    __slots__ = ("values", "codes", "dictionary", "code_of")
+    __slots__ = ("values", "codes", "code_of")
 
     def __init__(self, values: list):
         self.values = values
         self.codes: Optional[list[int]] = None
-        self.dictionary: Optional[list[str]] = None
         self.code_of: Optional[dict[str, int]] = None
         self._try_encode()
 
@@ -92,7 +91,6 @@ class Column:
             append(code)
         self.codes = codes
         self.code_of = code_of
-        self.dictionary = list(code_of)
 
     def get(self, code: int) -> Any:
         return self.values[code]
@@ -146,7 +144,6 @@ class ColumnarGraph:
         # keyed (edge_label_or_None, need); None label = all edges
         self._csr: dict[tuple[Optional[str], str], CsrBlock] = {}
         self._node_bitsets: dict[str, int] = {}
-        self._edge_bitsets: dict[Optional[str], dict[str, bool]] = {}
         self._node_columns: dict[str, Column] = {}
         self._labeled_mask: Optional[int] = None
         self._label_members_sorted: dict[str, list[str]] = {}

@@ -19,7 +19,7 @@ keys and in result bindings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import GraphError
 from repro.graph.changelog import ChangeRecord, GraphTransaction
@@ -31,13 +31,13 @@ IN = "in"
 UNDIRECTED = "undirected"
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     """One way of leaving a node along an incident edge.
 
     ``direction`` is OUT (a directed edge leaving the node), IN (a directed
     edge entering the node, traversed against its direction), or UNDIRECTED.
-    ``other`` is the node reached by the traversal.
+    ``other`` is the node reached by the traversal.  A tuple, so keying a
+    node's incidence set on it hashes at C speed.
     """
 
     edge: str
@@ -53,6 +53,7 @@ class _ElementData:
 
 #: sentinel for "property absent" (None is a legal property value)
 _MISSING = object()
+
 
 #: shared bucket key for unhashable property values; literals are always
 #: hashable, so lookups can never match this bucket
@@ -82,6 +83,23 @@ class _EdgeData(_ElementData):
     first: str = ""
     second: str = ""
     directed: bool = True
+
+
+def _edge_incidences(edge_id: str, data: _EdgeData) -> list[tuple[str, Incidence]]:
+    """The ``(endpoint, incidence)`` entries an edge contributes, in the
+    order they are added (a directed self-loop leaves and enters)."""
+    first, second = data.first, data.second
+    if data.directed:
+        return [
+            (first, Incidence(edge_id, second, OUT)),
+            (second, Incidence(edge_id, first, IN)),
+        ]
+    if first == second:
+        return [(first, Incidence(edge_id, second, UNDIRECTED))]
+    return [
+        (first, Incidence(edge_id, second, UNDIRECTED)),
+        (second, Incidence(edge_id, first, UNDIRECTED)),
+    ]
 
 
 class _Element:
@@ -233,7 +251,9 @@ class PropertyGraph:
         self.name = name
         self._nodes: dict[str, _ElementData] = {}
         self._edges: dict[str, _EdgeData] = {}
-        self._incidence: dict[str, list[Incidence]] = {}
+        # Per node, its incidences in insertion order: a dict used as an
+        # ordered set, so removing one edge from a hub is O(1).
+        self._incidence: dict[str, dict[Incidence, None]] = {}
         self._node_label_index: dict[str, set[str]] = {}
         self._edge_label_index: dict[str, set[str]] = {}
         self._incidence_label_cache: dict[str, dict[str, list[Incidence]]] = {}
@@ -323,7 +343,7 @@ class PropertyGraph:
             raise GraphError(f"duplicate element id {node_id!r}")
         data = _ElementData(labels=frozenset(labels), properties=dict(properties or {}))
         self._nodes[node_id] = data
-        self._incidence[node_id] = []
+        self._incidence[node_id] = {}
         for label in data.labels:
             self._node_label_index.setdefault(label, set()).add(node_id)
         self._index_element_added("node", node_id, data)
@@ -358,13 +378,8 @@ class PropertyGraph:
             directed=directed,
         )
         self._edges[edge_id] = data
-        if directed:
-            self._incidence[first].append(Incidence(edge_id, second, OUT))
-            self._incidence[second].append(Incidence(edge_id, first, IN))
-        else:
-            self._incidence[first].append(Incidence(edge_id, second, UNDIRECTED))
-            if first != second:
-                self._incidence[second].append(Incidence(edge_id, first, UNDIRECTED))
+        for endpoint, incidence in _edge_incidences(edge_id, data):
+            self._incidence[endpoint][incidence] = None
         for label in data.labels:
             self._edge_label_index.setdefault(label, set()).add(edge_id)
         self._incidence_label_cache.pop(first, None)
@@ -392,32 +407,20 @@ class PropertyGraph:
         data = self._edges.get(edge_id)
         if data is None:
             raise GraphError(f"unknown edge {edge_id!r}")
-        undo: tuple = ()
         if self._txn is not None:
-            # Bit-identical rollback: capture the dict insertion position
-            # and each endpoint's exact incidence-list order.
-            undo = (
-                "remove_edge",
-                edge_id,
-                data,
-                list(self._edges).index(edge_id),
-                {
-                    endpoint: list(self._incidence[endpoint])
-                    for endpoint in {data.first, data.second}
-                },
-            )
+            # Bit-identical rollback: the transaction keeps the order of
+            # the dicts a removal reorders, once per dict.
+            self._txn.remember_order(data.first, data.second)
         del self._edges[edge_id]
-        for endpoint in {data.first, data.second}:
-            self._incidence[endpoint] = [
-                inc for inc in self._incidence[endpoint] if inc.edge != edge_id
-            ]
+        for endpoint, incidence in _edge_incidences(edge_id, data):
+            del self._incidence[endpoint][incidence]
             self._incidence_label_cache.pop(endpoint, None)
         for label in data.labels:
             self._edge_label_index[label].discard(edge_id)
         self._index_element_removed("edge", edge_id, data)
         if self._journaling():
             self._record_change(
-                undo,
+                ("remove_edge", edge_id, data),
                 ChangeRecord("remove_edge", "edge", edge_id, data.first, data.second),
             )
         self._version += 1
@@ -429,7 +432,8 @@ class PropertyGraph:
         for inc in list(self._incidence[node_id]):
             if inc.edge in self._edges:
                 self.remove_edge(inc.edge)
-        position = list(self._nodes).index(node_id) if self._txn is not None else -1
+        if self._txn is not None:
+            self._txn.remember_order()
         data = self._nodes.pop(node_id)
         del self._incidence[node_id]
         self._incidence_label_cache.pop(node_id, None)
@@ -438,7 +442,7 @@ class PropertyGraph:
         self._index_element_removed("node", node_id, data)
         if self._journaling():
             self._record_change(
-                ("remove_node", node_id, data, position),
+                ("remove_node", node_id, data),
                 ChangeRecord("remove_node", "node", node_id),
             )
         self._version += 1

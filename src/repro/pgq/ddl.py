@@ -24,65 +24,26 @@ properties.
 from __future__ import annotations
 
 from repro.errors import DdlError
-from repro.gpml.lexer import EOF, IDENT, KEYWORD, Token, tokenize
+from repro.gpml.lexer import IDENT, KEYWORD
+from repro.gpml.parser import GpmlParser
 from repro.pgq.graph_view import EdgeTableSpec, GraphSpec, VertexTableSpec
 
 
-class _DdlParser:
-    """Word-oriented parser: DDL keywords are matched textually because
-    they are ordinary identifiers to the shared lexer."""
+class _DdlParser(GpmlParser):
+    """Word-oriented parser: DDL keywords are ordinary identifiers to the
+    shared lexer, matched by the shared word helpers
+    (:meth:`~repro.gpml.parser.GpmlParser.at_word`)."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.type != EOF:
-            self.pos += 1
-        return token
-
-    def _word_of(self, token: Token) -> str | None:
-        if token.type in (IDENT, KEYWORD):
-            return str(token.value).upper()
-        return None
-
-    def at_word(self, *words: str) -> bool:
-        return self._word_of(self.peek()) in words
-
-    def accept_word(self, *words: str) -> bool:
-        if self.at_word(*words):
-            self.advance()
-            return True
-        return False
-
-    def expect_word(self, word: str) -> None:
-        if not self.accept_word(word):
-            raise DdlError(f"expected {word}, found {self._describe()}")
+    def error(self, message: str) -> None:
+        raise DdlError(message)
 
     def expect_ident(self) -> str:
+        """A table, column or label name (keyword spellings allowed)."""
         token = self.peek()
         if token.type not in (IDENT, KEYWORD):
-            raise DdlError(f"expected identifier, found {self._describe()}")
+            self.error(f"expected identifier, found {self._describe(token)}")
         self.advance()
         return str(token.value)
-
-    def expect_punct(self, value: str) -> None:
-        token = self.peek()
-        if not token.is_punct(value):
-            raise DdlError(f"expected {value!r}, found {self._describe()}")
-        self.advance()
-
-    def at_punct(self, value: str) -> bool:
-        return self.peek().is_punct(value)
-
-    def _describe(self) -> str:
-        token = self.peek()
-        return "end of input" if token.type == EOF else repr(token.value)
 
     # ------------------------------------------------------------------
     def parse(self) -> GraphSpec:
@@ -107,8 +68,7 @@ class _DdlParser:
                 self.advance()
                 spec.edge_tables.append(self._edge_entry())
             self.expect_punct(")")
-        if self.peek().type != EOF:
-            raise DdlError(f"unexpected trailing input: {self._describe()}")
+        self.expect_eof()
         return spec
 
     def _vertex_entry(self) -> VertexTableSpec:

@@ -20,25 +20,22 @@ visits backwards.  Patterns whose element/paren WHEREs use LISTAGG are
 therefore marked non-reversible.  (The final WHERE is unaffected: it sees
 reduced bindings, which are already mapped back to forward order.)
 
-The planner is not the only consumer: GQL's chained-MATCH seeding
-(:mod:`repro.gql.pipeline`) uses :func:`pinned_end_nodes`,
-:func:`is_reversible` and :func:`compile_reversed` to anchor a later
-statement's search at a variable bound upstream — a right-end seed runs
-the reversed pattern from the bound node and maps bindings back exactly
-as a right-anchored plan does.
+Seeded searches use the same machinery: :func:`repro.planner.plan.plan_seed`
+anchors a GQL chained MATCH or a SQL seeded join at a node bound at run
+time through :func:`pinned_end_nodes`, :func:`is_reversible` and
+:func:`compile_reversed`, so a right-end seed runs the reversed pattern
+from the bound node and maps bindings back exactly as a right-anchored
+plan does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.errors import ReproError
 from repro.gpml import ast
 from repro.gpml.analysis import PathAnalysis, analyze
 from repro.gpml.automaton import PatternNFA, compile_path_pattern
 from repro.gpml.bindings import ElementaryBinding, PathBinding
-from repro.gpml.expr import Aggregate, Expr
 
 LEFT = "left"
 RIGHT = "right"
@@ -244,82 +241,6 @@ def _may_be_empty(pattern: ast.Pattern) -> bool:
     if isinstance(pattern, ast.Concatenation):
         return all(_may_be_empty(item) for item in pattern.items)
     return False
-
-
-# ----------------------------------------------------------------------
-# Seed planning (shared by GQL chained MATCH and SQL seeded joins)
-# ----------------------------------------------------------------------
-@dataclass
-class SeedSpec:
-    """How a pattern search anchors at a runtime-known node.
-
-    Produced by :func:`plan_seed`; consumed by GQL's chained MATCH and the
-    SQL planner's join-through-GRAPH_TABLE rewrite.  A RIGHT-side seed
-    carries the pre-compiled reversed pattern and NFA.
-    """
-
-    var: str
-    side: str  # LEFT | RIGHT
-    reversed_path: Optional[ast.PathPattern] = None
-    reversed_nfa: Optional[PatternNFA] = None
-
-    @property
-    def reversed_run(self) -> Optional[tuple[ast.PathPattern, PatternNFA]]:
-        """The ``reversed_run`` argument for a seeded engine search."""
-        if self.side == RIGHT:
-            return (self.reversed_path, self.reversed_nfa)
-        return None
-
-    def describe(self) -> str:
-        return (
-            f"seeded search on {self.var} ({self.side} end bound upstream), "
-            f"one anchored run per incoming row"
-        )
-
-
-def plan_seed(prepared, candidate_vars: Sequence[str]) -> Optional[SeedSpec]:
-    """Pick a sound anchor variable among *candidate_vars*, or None.
-
-    Seeding is sound when every match pins one end of the (single) path
-    pattern to the same unconditional singleton variable: restricting the
-    search to start at the bound node then selects whole endpoint
-    partitions, so selectors/KEEP inside the pattern are unaffected.  The
-    right end requires the reversal machinery (and a reversible pattern);
-    left wins ties because it needs none.
-
-    ``prepared`` is a :class:`~repro.gpml.engine.PreparedQuery` (typed
-    loosely to keep this module independent of the engine).
-    """
-    if prepared.num_path_patterns != 1:
-        return None
-    path = prepared.normalized.paths[0]
-    analysis = prepared.analysis.paths[0]
-    for side in (LEFT, RIGHT):
-        nodes = pinned_end_nodes(path.pattern, side)
-        if not nodes:
-            continue
-        vars_ = {node.var for node in nodes}
-        if len(vars_) != 1:
-            continue
-        var = next(iter(vars_))
-        if var is None or var not in candidate_vars:
-            continue
-        info = analysis.vars.get(var)
-        if info is None or info.group or info.conditional or info.anonymous:
-            continue
-        if side == LEFT:
-            return SeedSpec(var=var, side=LEFT)
-        if not is_reversible(analysis):
-            continue
-        try:
-            reversed_path, reversed_nfa = compile_reversed(path)
-        except ReproError:  # pragma: no cover - defensive, mirrors planner
-            continue
-        return SeedSpec(
-            var=var, side=RIGHT,
-            reversed_path=reversed_path, reversed_nfa=reversed_nfa,
-        )
-    return None
 
 
 def interior_fixed_nodes(pattern: ast.Pattern) -> list[ast.NodePattern]:

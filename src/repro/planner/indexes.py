@@ -10,8 +10,9 @@ start node eliminates whole endpoint partitions whose every row the final
 WHERE would reject anyway, so selectors and KEEP see the same input).
 
 A :class:`CandidateSource` describes where a pattern's start candidates
-come from — property index, label scan, or full scan — with an estimated
-cardinality, and materializes the candidate ids on demand.
+come from — property index, label scan, full scan, or a seed node bound
+at run time — with an estimated cardinality, and materializes the
+candidate ids on demand.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.planner.stats import StatisticsCatalog
 PROPERTY_INDEX = "property index"
 LABEL_SCAN = "label scan"
 FULL_SCAN = "full scan"
+SEED = "seed"
 
 
 # ----------------------------------------------------------------------
@@ -137,13 +139,15 @@ class CandidateSource:
     ``lookups`` lists the per-label index probes of a property-index
     source: ``(label_or_None, prop, value)`` triples whose union is the
     candidate set.  Label scans carry ``labels``; full scans carry
-    neither.
+    neither; a seed source carries the one ``seed`` node a seeded search
+    starts from.
     """
 
-    kind: str  # PROPERTY_INDEX | LABEL_SCAN | FULL_SCAN
+    kind: str  # PROPERTY_INDEX | LABEL_SCAN | FULL_SCAN | SEED
     estimate: float
     labels: Optional[frozenset[str]] = None
     lookups: list[tuple[Optional[str], str, Any]] = field(default_factory=list)
+    seed: Optional[str] = None
 
     def candidate_ids(self, graph: PropertyGraph) -> Optional[list[str]]:
         """Sorted candidate node ids; None means "scan everything".
@@ -157,6 +161,8 @@ class CandidateSource:
         """
         if self.kind == FULL_SCAN:
             return None
+        if self.kind == SEED:
+            return [self.seed]
         out: set[str] = set()
         if self.kind == LABEL_SCAN:
             snapshot = cached_snapshot(graph)

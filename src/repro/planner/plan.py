@@ -15,8 +15,14 @@ a concrete graph into a :class:`QueryPlan`:
 * the plan carries the streaming/blocking pipeline classification that
   EXPLAIN PLAN renders (see :mod:`repro.gpml.streaming`),
 * the plan caches the reversed pattern + NFA for right anchors and is
-  itself cached on the prepared query, keyed on the graph's mutation
-  version — mutating the graph invalidates the plan.
+  itself cached on the prepared query, keyed on the graph's statistics
+  catalog — mutating the graph invalidates the plan.
+
+:func:`plan_seed` plans the other kind of anchor: a node bound at run
+time (GQL chained MATCH, the SQL seeded join).  Its :class:`SeedSpec`
+holds an ordinary :class:`PatternPlan` whose start candidates are filled
+in per seed (:meth:`PatternPlan.seeded`), so a seeded search runs the
+same planned-pattern pipeline as any anchored query.
 
 Plans only reorder exploration; the bag of results is unchanged (joined
 rows always come out in textual nested-loop order, and reversed runs map
@@ -26,8 +32,8 @@ bindings back to forward orientation).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.gpml import ast
@@ -46,6 +52,7 @@ from repro.planner.anchor import (
 )
 from repro.planner.indexes import (
     FULL_SCAN,
+    SEED,
     CandidateSource,
     candidate_source,
     required_labels,
@@ -85,8 +92,10 @@ class PatternPlan:
     est_result: float
     reversed_path: Optional[ast.PathPattern] = None
     reversed_nfa: Optional[PatternNFA] = None
-    #: actual start-candidate count, recorded by the engine at execution
+    #: actual start-candidate count and matcher steps, recorded by the
+    #: engine when the pattern's search closes
     observed_candidates: Optional[int] = None
+    observed_steps: Optional[int] = None
 
     @property
     def est_candidates(self) -> float:
@@ -95,6 +104,15 @@ class PatternPlan:
     def start_candidates(self, graph: PropertyGraph) -> Optional[list[str]]:
         """Materialized start candidates; None lets the matcher scan."""
         return self.source.candidate_ids(graph)
+
+    def seeded(self, seed_id: str) -> "PatternPlan":
+        """A fresh copy of this anchor that starts from exactly *seed_id*."""
+        return replace(
+            self,
+            source=CandidateSource(kind=SEED, estimate=1.0, seed=seed_id),
+            observed_candidates=None,
+            observed_steps=None,
+        )
 
 
 @dataclass
@@ -255,6 +273,95 @@ def _plan_pattern(catalog: StatisticsCatalog, prepared, index: int) -> PatternPl
         reversed_path=reversed_path,
         reversed_nfa=reversed_nfa,
     )
+
+
+# ----------------------------------------------------------------------
+# Seed planning (GQL chained MATCH, SQL seeded joins)
+# ----------------------------------------------------------------------
+@dataclass
+class SeedSpec:
+    """How a pattern search anchors at a node bound at run time.
+
+    Produced by :func:`plan_seed`; consumed through
+    :class:`~repro.gpml.engine.SeededSearch`.  ``plan`` is the anchor:
+    LEFT, or RIGHT with the pre-compiled reversed pattern and NFA.
+    """
+
+    var: str
+    plan: PatternPlan
+
+    @property
+    def side(self) -> str:
+        return self.plan.side
+
+    def describe(self) -> str:
+        return (
+            f"seeded search on {self.var} ({self.side} end bound upstream), "
+            f"one anchored run per incoming row"
+        )
+
+
+def seed_plan(
+    side: str = LEFT,
+    reversed_path: Optional[ast.PathPattern] = None,
+    reversed_nfa: Optional[PatternNFA] = None,
+) -> PatternPlan:
+    """The plan of a single path pattern anchored at a run-time seed.
+
+    Its seed source is empty until :meth:`PatternPlan.seeded` fills in
+    the node of one run; the result size is not estimated.
+    """
+    return PatternPlan(
+        index=0,
+        side=side,
+        source=CandidateSource(kind=SEED, estimate=1.0),
+        options=[],
+        est_result=0.0,
+        reversed_path=reversed_path,
+        reversed_nfa=reversed_nfa,
+    )
+
+
+def plan_seed(prepared, candidate_vars: Sequence[str]) -> Optional[SeedSpec]:
+    """Pick a sound anchor variable among *candidate_vars*, or None.
+
+    Seeding is sound when every match pins one end of the (single) path
+    pattern to the same unconditional singleton variable: restricting the
+    search to start at the bound node then selects whole endpoint
+    partitions, so selectors/KEEP inside the pattern are unaffected.  The
+    right end requires the reversal machinery (and a reversible pattern);
+    left wins ties because it needs none.
+
+    ``prepared`` is a :class:`~repro.gpml.engine.PreparedQuery` (typed
+    loosely to keep this module independent of the engine).
+    """
+    if prepared.num_path_patterns != 1:
+        return None
+    path = prepared.normalized.paths[0]
+    analysis = prepared.analysis.paths[0]
+    for side in (LEFT, RIGHT):
+        nodes = pinned_end_nodes(path.pattern, side)
+        if not nodes:
+            continue
+        vars_ = {node.var for node in nodes}
+        if len(vars_) != 1:
+            continue
+        var = next(iter(vars_))
+        if var is None or var not in candidate_vars:
+            continue
+        info = analysis.vars.get(var)
+        if info is None or info.group or info.conditional or info.anonymous:
+            continue
+        if side == LEFT:
+            return SeedSpec(var=var, plan=seed_plan())
+        if not is_reversible(analysis):
+            continue
+        try:
+            reversed_path, reversed_nfa = compile_reversed(path)
+        except ReproError:  # pragma: no cover - defensive, mirrors planner
+            continue
+        return SeedSpec(var=var, plan=seed_plan(RIGHT, reversed_path, reversed_nfa))
+    return None
 
 
 def _end_source(

@@ -33,7 +33,7 @@ from repro.pgq.graph_table import (
     project_columns,
 )
 from repro.pgq.table import Table
-from repro.planner.anchor import SeedSpec
+from repro.planner.plan import SeedSpec
 from repro.sql.binder import Column, RowContext, evaluate, holds
 from repro.values import hashable_key, is_null, sort_key
 
@@ -273,34 +273,36 @@ class SeededGraphTableScan(GraphTableScan):
         if seeds is None:
             yield from self._enumerated()
             return
-        if not seeds:
-            return
+        for seed_id in seeds:
+            for values, _paths in self._seeded().run(seed_id):
+                yield project_columns(self.graph, self.statement, values)
+
+    def _seeded(self) -> SeededSearch:
+        # Built on first use: the budget and span are attached after
+        # planning.
         if self._search is None:
             self._search = SeededSearch(
-                self.graph, self.prepared, self.config,
-                reversed_run=self.seed.reversed_run,
+                self.graph, self.prepared, self.config, self.seed,
                 budget=self.budget, stats=self.stats, span=self.span,
             )
-        for seed_id in seeds:
-            for values, _paths in self._search.run(seed_id):
-                yield project_columns(self.graph, self.statement, values)
+        return self._search
 
     def _seed_ids(self, value: Any) -> Optional[list[str]]:
         """Anchor node ids for one probe value; None = cannot narrow.
 
-        Element mode: the key is the node id itself, so a non-id probe
-        value (or an id not in the graph) has no partners at all.
-        Property mode: a plain-scalar probe is answered by the property
-        hash index (dict-key equality, which is exactly the join's
-        ``hashable_key`` equality for scalars); anything else — e.g. a
-        list, whose index bucket does not mirror ``hashable_key``'s
-        list→tuple coercion — falls back to full enumeration.
+        Element mode: the key is the node id itself, so a NULL or non-id
+        probe value (or an id not in the graph) has no partners at all
+        (:meth:`SeededSearch.seed_id`).  Property mode: a plain-scalar
+        probe is answered by the property hash index (dict-key equality,
+        which is exactly the join's ``hashable_key`` equality for
+        scalars); anything else — e.g. a list, whose index bucket does
+        not mirror ``hashable_key``'s list→tuple coercion — falls back
+        to full enumeration.
         """
-        if is_null(value):
-            return []
         if self.probe_mode == PROBE_ELEMENT:
-            if isinstance(value, str) and self.graph.has_node(value):
-                return [value]
+            seed_id = self._seeded().seed_id(value)
+            return [] if seed_id is None else [seed_id]
+        if is_null(value):
             return []
         if isinstance(value, (str, int, float)):
             return sorted(

@@ -26,8 +26,9 @@ single divergence is aggregate syntax — SQL's vertical ``COUNT(*)`` /
 over group variables inside it — switched by ``_gpml_mode``.
 
 SQL-specific keywords (SELECT, FROM, JOIN, ...) are ordinary identifiers
-to the shared lexer, so they are matched textually, the same trick
-:mod:`repro.pgq.ddl` uses.
+to the shared lexer, so they are matched textually by the parser's word
+helpers (:meth:`~repro.gpml.parser.GpmlParser.at_word`), like every other
+host's words.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import GpmlSyntaxError, SqlSyntaxError
-from repro.gpml.lexer import IDENT, KEYWORD, NUMBER, STRING, Token
+from repro.gpml.lexer import IDENT, NUMBER, STRING
 from repro.gpml.parser import GpmlParser
 from repro.pgq.graph_table import GraphTableStatement, parse_columns_clause
 from repro.sql import ast
@@ -57,26 +58,6 @@ class SqlParser(GpmlParser):
     def __init__(self, text: str):
         super().__init__(text)
         self._gpml_mode = False
-
-    # -- word-oriented helpers (SQL keywords are identifiers to the lexer)
-    @staticmethod
-    def _word_of(token: Token) -> Optional[str]:
-        if token.type in (IDENT, KEYWORD):
-            return str(token.value).upper()
-        return None
-
-    def at_word(self, *words: str) -> bool:
-        return self._word_of(self.peek()) in words
-
-    def accept_word(self, *words: str) -> bool:
-        if self.at_word(*words):
-            self.advance()
-            return True
-        return False
-
-    def expect_word(self, word: str) -> None:
-        if not self.accept_word(word):
-            self.sql_error(f"expected {word}, found {self._describe(self.peek())}")
 
     def sql_error(self, message: str) -> None:
         raise SqlSyntaxError(message, self.peek().position, self.text)

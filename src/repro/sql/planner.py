@@ -59,6 +59,7 @@ from repro.gpml.expr import (
     conjoin,
 )
 from repro.gpml.matcher import MatcherConfig
+from repro.gpml.parser import MAX_EXPRESSION_DEPTH, expression_depth
 from repro.gpml.streaming import PipelineStats, RowBudget
 from repro.planner.indexes import conjuncts
 from repro.sql import ast
@@ -290,10 +291,23 @@ class _Leaf:
     statement: Optional[object] = None
     pushed: list[Expr] = dataclass_field(default_factory=list)
     filters: list[Expr] = dataclass_field(default_factory=list)
+    #: depth of the pattern's WHERE with every pushed predicate conjoined
+    where_depth: int = 0
 
     @property
     def is_graph(self) -> bool:
         return self.graph is not None
+
+    def push(self, predicate: Expr) -> bool:
+        """Queue *predicate* for the pattern's WHERE, unless conjoining it
+        would make that WHERE deeper than the parser accepts (then the
+        caller keeps it as a SQL filter, with the same rows)."""
+        depth = max(self.where_depth, expression_depth(predicate)) + 1
+        if depth > MAX_EXPRESSION_DEPTH:
+            return False
+        self.pushed.append(predicate)
+        self.where_depth = depth
+        return True
 
 
 def _plan_from_and_where(
@@ -326,8 +340,7 @@ def _plan_from_and_where(
                 substituted = _push_into_match(
                     conjunct, leaf, full_scope, references, offsets[leaf.index]
                 )
-                if substituted is not None:
-                    leaf.pushed.append(substituted)
+                if substituted is not None and leaf.push(substituted):
                     continue
             leaf.filters.append(bind(conjunct, Scope(leaf.columns), where="WHERE"))
             continue
@@ -371,9 +384,11 @@ def _make_leaf(source: ast.FromSource, index: int, ctx: PlannerContext) -> _Leaf
         Column(table=item.alias, name=name, source=index)
         for name in item.statement.column_names
     ]
+    where = item.statement.pattern.where
     return _Leaf(
         source=source, index=index, columns=columns,
         graph=graph, statement=item.statement,
+        where_depth=expression_depth(where) if where is not None else 0,
     )
 
 

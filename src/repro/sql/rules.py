@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.gpml.expr import Arithmetic, Expr, Literal, Negate, PropertyRef, VarRef
-from repro.planner.anchor import plan_seed
+from repro.planner.plan import plan_seed
 from repro.sql.binder import BoundColumn
 from repro.sql.config import SEEDED_JOIN, SEMI_JOIN, SHARED_SCAN
 from repro.sql.operators import (
